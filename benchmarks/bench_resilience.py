@@ -1,19 +1,13 @@
-"""Resilience benchmarks: recovery latency and degraded-mode throughput.
+"""Resilience benchmark: recovery latency of the supervised pool.
 
-Two questions a fault-tolerant deployment cares about, answered with
-the same exactness-first discipline as the scaling benchmarks:
+How much wall time does one injected worker crash add to a parallel
+mining run? DHP's chunk passes run on a
+:class:`~repro.parallel.pool.SupervisedPool`: it detects the dead
+worker, rebuilds with backoff, and resubmits the pass's batch, so the
+answer is "one pool rebuild plus one repeated pass", and the mined
+itemsets must stay bit-identical to the serial reference.
 
-* **Recovery latency** — how much wall time does one injected worker
-  crash add to a parallel Apriori run? The supervised pool detects the
-  dead worker, rebuilds with backoff, and resubmits the level's batch,
-  so the answer is "one pool rebuild plus one repeated level", and the
-  mined itemsets must stay bit-identical to the serial reference.
-* **Degraded-mode throughput** — with the engine circuit breaker
-  forced open, every parallel counter construction and count degrades
-  to the serial engine. The benchmark reports the candidates/second
-  both ways so the cost of running degraded is a number, not a guess.
-
-Both cases emit ``BENCH {json}`` lines and accumulate into
+The case emits a ``BENCH {json}`` line and accumulates into
 ``BENCH_resilience.json`` at the repo root via ``_shared.emit_bench``.
 """
 
@@ -24,9 +18,8 @@ import time
 from _shared import emit_bench, report
 from repro.bench import MINSUP, format_table
 from repro.bench.workloads import QuestConfig, QuestGenerator, current_scale
-from repro.mining import Apriori
-from repro.mining.counting import parallel_breaker
-from repro.parallel import ParallelCounter
+from repro.mining import DHP
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.resilience import FaultPlan, use_faults
 
 MAX_LEVEL = 3
@@ -46,8 +39,8 @@ def _workload():
     return QuestGenerator(config).generate()
 
 
-def _timed_mine(db, counter=None):
-    miner = Apriori(counter=counter, max_level=MAX_LEVEL)
+def _timed_mine(db, workers=None):
+    miner = DHP(max_level=MAX_LEVEL, workers=workers)
     start = time.perf_counter()
     result = miner.mine(db, MINSUP)
     return result, time.perf_counter() - start
@@ -56,26 +49,25 @@ def _timed_mine(db, counter=None):
 def test_crash_recovery_latency():
     db = _workload()
     serial, _ = _timed_mine(db)
-    parallel_breaker().reset()
 
-    with ParallelCounter(workers=WORKERS) as counter:
-        clean, clean_seconds = _timed_mine(db, counter)
+    clean, clean_seconds = _timed_mine(db, WORKERS)
     assert clean.same_itemsets(serial)
 
     plan = FaultPlan.from_spec("pool.worker_crash:times=1", seed=5)
-    try:
-        with use_faults(plan):
-            with ParallelCounter(workers=WORKERS) as counter:
-                crashed, crashed_seconds = _timed_mine(db, counter)
-    finally:
-        parallel_breaker().reset()
+    registry = MetricsRegistry()
+    with use_faults(plan), use_registry(registry):
+        crashed, crashed_seconds = _timed_mine(db, WORKERS)
     assert crashed.same_itemsets(serial), (
         "recovery from an injected worker crash must stay exact"
     )
+    # The crash really fired and was absorbed by one rebuild.
+    assert registry.counter("resilience.pool.crashes").value == 1
+    assert registry.counter("resilience.pool.rebuilds").value == 1
 
     record = {
         "bench": "resilience",
         "case": "crash_recovery",
+        "miner": "dhp",
         "workers": WORKERS,
         "n_transactions": len(db),
         "minsup": MINSUP,
@@ -89,67 +81,13 @@ def test_crash_recovery_latency():
     }
     emit_bench(record)
     report(
-        "Resilience — one injected worker crash (supervised pool)",
+        "Resilience — one injected worker crash (DHP, supervised pool)",
         format_table(
             ["clean_s", "with_crash_s", "overhead_s"],
             [[
                 round(clean_seconds, 3),
                 round(crashed_seconds, 3),
                 round(crashed_seconds - clean_seconds, 3),
-            ]],
-        ),
-    )
-
-
-def test_degraded_mode_throughput():
-    db = _workload()
-    breaker = parallel_breaker()
-    breaker.reset()
-
-    with ParallelCounter(workers=WORKERS) as counter:
-        healthy, healthy_seconds = _timed_mine(db, counter)
-
-    # Trip the breaker: every count now degrades to the serial engine.
-    try:
-        while not breaker.is_open:
-            breaker.record_failure()
-        with ParallelCounter(workers=WORKERS) as counter:
-            degraded, degraded_seconds = _timed_mine(db, counter)
-    finally:
-        breaker.reset()
-    assert degraded.same_itemsets(healthy), (
-        "degraded (serial) counting must stay exact"
-    )
-
-    counted = healthy.candidates_counted()
-    record = {
-        "bench": "resilience",
-        "case": "degraded_throughput",
-        "workers": WORKERS,
-        "n_transactions": len(db),
-        "minsup": MINSUP,
-        "max_level": MAX_LEVEL,
-        "candidates_counted": counted,
-        "healthy_seconds": round(healthy_seconds, 4),
-        "degraded_seconds": round(degraded_seconds, 4),
-        "healthy_candidates_per_second": round(
-            counted / healthy_seconds, 1
-        ) if healthy_seconds else 0.0,
-        "degraded_candidates_per_second": round(
-            counted / degraded_seconds, 1
-        ) if degraded_seconds else 0.0,
-        "exact": True,
-    }
-    emit_bench(record)
-    report(
-        "Resilience — circuit breaker open (parallel degraded to serial)",
-        format_table(
-            ["healthy_s", "degraded_s", "healthy_c/s", "degraded_c/s"],
-            [[
-                round(healthy_seconds, 3),
-                round(degraded_seconds, 3),
-                record["healthy_candidates_per_second"],
-                record["degraded_candidates_per_second"],
             ]],
         ),
     )

@@ -115,12 +115,6 @@ RESOURCE_SPECS: dict[str, ResourceSpec] = {
     "SupervisedPool": ResourceSpec(
         "worker pool", frozenset({"close", "kill"})
     ),
-    "ParallelCounter": ResourceSpec(
-        "parallel counter", frozenset({"close"})
-    ),
-    "ParallelOSSMPruner": ResourceSpec(
-        "parallel pruner", frozenset({"close"})
-    ),
     "BoundQueryService": ResourceSpec(
         "bound-query service", frozenset({"aclose"})
     ),

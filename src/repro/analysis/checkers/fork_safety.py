@@ -7,10 +7,9 @@ classes of state travel badly across that boundary:
 * **module-level mutable state** — a dict/list/set populated in the
   parent is a stale snapshot under ``fork`` and *empty* under ``spawn``.
   The house pattern is an *initializer* that rebinds (or clears and
-  refills) the global inside each worker (``init_shards`` /
-  ``init_bound_map``); a worker task reading a module global that no
-  initializer manages is reading parent memory by accident
-  (``fork-module-state``).
+  refills) the global inside each worker (``init_bound_map``); a
+  worker task reading a module global that no initializer manages is
+  reading parent memory by accident (``fork-module-state``).
 * **RNG objects** — a module-level ``random.Random()`` /
   ``default_rng()`` is duplicated byte-for-byte into every forked
   worker, so "random" draws are identical across the pool

@@ -42,7 +42,6 @@ DEFAULT_HOT_MODULES: tuple[str, ...] = (
     "parallel/threads.py",
     "core/greedy.py",
     "core/bubble.py",
-    "parallel/counter.py",
     "parallel/pool.py",
     "serve/cache.py",
     "serve/service.py",

@@ -27,9 +27,8 @@ from ..data.pages import PagedDatabase
 from ..data.transactions import TransactionDatabase
 from ..mining.apriori import Apriori
 from ..mining.base import MiningResult
-from ..mining.counting import SupportCounter, TidsetCounter
+from ..mining.counting import TidsetCounter
 from ..mining.pruning import OSSMPruner
-from ..parallel.counter import ParallelCounter
 from ..obs.metrics import MetricsRegistry, use_registry
 from .metrics import candidate_ratio, ossm_megabytes, speedup
 
@@ -95,52 +94,30 @@ class Cell:
 _COUNTER = TidsetCounter()
 
 
-def _bench_counter(
-    workers: int | None,
-    segment_sizes: tuple[int, ...] | None = None,
-) -> SupportCounter:
-    """Shared serial tidset counter, or a fresh sharded parallel one."""
-    if workers is None:
-        return _COUNTER
-    return ParallelCounter(workers=workers, segment_sizes=segment_sizes)
-
-
-def _release(counter: SupportCounter) -> None:
-    if counter is not _COUNTER and isinstance(counter, ParallelCounter):
-        counter.close()
-
-
 def baseline(
     database: TransactionDatabase,
     min_support: float | int,
     max_level: int = DEFAULT_MAX_LEVEL,
     repeats: int = 3,
-    workers: int | None = None,
 ) -> Baseline:
     """Time the host miner without any OSSM (best of *repeats* runs).
 
     The final repeat runs with a fresh metrics registry installed, and
     its snapshot is attached to the returned :class:`Baseline`.
-    ``workers`` switches counting to the sharded parallel engine (the
-    exact same counts — only where the work runs changes).
     """
     best = float("inf")
     result = None
     repeats = max(1, repeats)
     registry = MetricsRegistry()
-    counter = _bench_counter(workers)
-    try:
-        for index in range(repeats):
-            miner = Apriori(counter=counter, max_level=max_level)
-            start = time.perf_counter()
-            if index == repeats - 1:
-                with use_registry(registry):
-                    result = miner.mine(database, min_support)
-            else:
+    for index in range(repeats):
+        miner = Apriori(counter=_COUNTER, max_level=max_level)
+        start = time.perf_counter()
+        if index == repeats - 1:
+            with use_registry(registry):
                 result = miner.mine(database, min_support)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        _release(counter)
+        else:
+            result = miner.mine(database, min_support)
+        best = min(best, time.perf_counter() - start)
     return Baseline(
         result=result,
         seconds=best,
@@ -163,36 +140,29 @@ def evaluate(
     base: Baseline,
     segmentation: SegmentationResult | None = None,
     repeats: int = 3,
-    workers: int | None = None,
 ) -> Cell:
     """Mine with *ossm* attached and compare against the baseline.
 
     The final repeat runs instrumented; its metric snapshot (prune
     counters, bound-gap histogram, counting timers) rides on the cell.
-    ``workers`` switches counting to the sharded parallel engine, with
-    shard boundaries aligned to this OSSM's segment composition.
     """
     best = float("inf")
     result = None
     repeats = max(1, repeats)
     registry = MetricsRegistry()
-    counter = _bench_counter(workers, segment_sizes=ossm.segment_sizes)
-    try:
-        for index in range(repeats):
-            miner = Apriori(
-                pruner=OSSMPruner(ossm),
-                counter=counter,
-                max_level=base.max_level,
-            )
-            start = time.perf_counter()
-            if index == repeats - 1:
-                with use_registry(registry):
-                    result = miner.mine(database, base.min_support)
-            else:
+    for index in range(repeats):
+        miner = Apriori(
+            pruner=OSSMPruner(ossm),
+            counter=_COUNTER,
+            max_level=base.max_level,
+        )
+        start = time.perf_counter()
+        if index == repeats - 1:
+            with use_registry(registry):
                 result = miner.mine(database, base.min_support)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        _release(counter)
+        else:
+            result = miner.mine(database, base.min_support)
+        best = min(best, time.perf_counter() - start)
     if not result.same_itemsets(base.result):
         raise AssertionError(
             "OSSM pruning changed the mining output — bound unsound"

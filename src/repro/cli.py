@@ -148,14 +148,15 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--max-level", type=int, default=0,
                       help="cardinality cap (0 = unbounded)")
     mine.add_argument("--workers", type=int, default=0,
-                      help="workers for counting (0 = serial; processes, "
-                           "or threads for --engine bitmap; "
-                           "apriori/dhp/partition only)")
+                      help="0 = serial. Counting fans out over this many "
+                           "threads on the bitmap engine (the default "
+                           "engine with --workers); other engines count "
+                           "serially. DHP's chunk passes and Partition's "
+                           "phase 1 use this many worker processes "
+                           "(apriori/dhp/partition only)")
     mine.add_argument("--engine", default=None,
-                      choices=("subset", "tidset", "hashtree", "parallel",
-                               "bitmap"),
-                      help="counting engine (registry name; "
-                           "apriori/partition only)")
+                      help="counting engine: subset, tidset, hashtree or "
+                           "bitmap (apriori/partition only)")
     mine.add_argument("--top", type=int, default=20,
                       help="itemsets to print (0 = all)")
     mine.add_argument("--checkpoint-dir", default=None, metavar="DIR",

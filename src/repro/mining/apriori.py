@@ -50,16 +50,16 @@ class Apriori:
     max_level:
         Optional cap on itemset cardinality (``None`` = run to fixpoint).
     workers:
-        Fan counting out over this many worker processes with a
-        :class:`~repro.parallel.counter.ParallelCounter`. When the
-        pruner carries an OSSM, its segment composition aligns the
-        shard boundaries. Results are exactly those of the serial
-        counter — the knob only changes where the counting runs.
+        Fan counting out over this many threads. With no ``engine``
+        this selects the bitmap engine, whose
+        :class:`~repro.parallel.threads.ThreadedBitmapCounter` sums
+        word-column shards exactly; a named engine other than
+        ``"bitmap"`` counts serially. Results are exactly those of the
+        serial counter — the knob only changes where the counting runs.
     engine:
         Counting-engine name resolved through
         :func:`~repro.mining.counting.make_counter` (``"subset"``,
-        ``"tidset"``, ``"hashtree"``, ``"parallel"``). Combined with
-        ``workers`` a serial name selects the per-shard engine.
+        ``"tidset"``, ``"hashtree"``, ``"bitmap"``).
     checkpoint_dir:
         Snapshot the loop state there after every completed level
         (atomic, checksummed — see

@@ -7,10 +7,9 @@ over its item rows followed by a popcount — two vectorized numpy
 kernels that release the GIL. This is the Eclat/tidset vertical layout
 pushed all the way down to bits (see PAPERS.md: "Mining Frequent
 Itemsets from Secondary Memory" uses the same packing out of core), and
-it is what makes *thread* sharding profitable where the process pool is
-not: shards are word-column ranges of one shared read-only matrix, so
-fanning out moves no data at all — no pickle, no fork, no
-shared-memory transport (that transport is legacy for this engine; see
+it is what makes *thread* sharding profitable: shards are word-column
+ranges of one shared read-only matrix, so fanning out moves no data at
+all — no pickle, no fork, no shared-memory transport (see
 :mod:`repro.parallel.threads` for the thread path).
 
 Exactness is structural:
@@ -167,8 +166,7 @@ def pack_database(
 
     *segment_sizes* (an OSSM segment composition) aligns the packing's
     segment masks; sizes inconsistent with the database — a map built
-    from a different collection — are ignored rather than trusted,
-    exactly like :meth:`repro.parallel.plan.ShardPlanner.plan`.
+    from a different collection — are ignored rather than trusted.
     """
     n = len(database)
     n_words = (n + WORD_BITS - 1) // WORD_BITS

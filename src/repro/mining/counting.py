@@ -21,13 +21,15 @@ import abc
 import os
 from itertools import combinations
 from collections.abc import Iterable, Sequence
-from typing import Any, Callable, ContextManager
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..data.transactions import TransactionDatabase
 from ..obs.metrics import get_registry
-from ..resilience import CircuitBreaker
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..parallel.pool import SupervisedPool
 
 __all__ = [
     "SupportCounter",
@@ -36,9 +38,7 @@ __all__ = [
     "count_supports",
     "make_counter",
     "make_pool",
-    "parallel_breaker",
     "register_engine",
-    "register_parallel_backend",
     "registered_engines",
     "resolve_engine",
 ]
@@ -62,7 +62,7 @@ class SupportCounter(abc.ABC):
 
     ``tests/mining/test_counting.py`` holds the cross-engine contract
     suite; the differential harness in ``tests/parallel`` extends it to
-    the parallel counter.
+    every counter :func:`make_counter` builds for a ``workers=`` request.
     """
 
     @abc.abstractmethod
@@ -198,9 +198,9 @@ def count_supports(
 # :func:`make_counter` — one place to resolve the engine name, the
 # ``workers=`` knob, and the OSSM segment composition, instead of
 # per-module ad-hoc constructor branching. Engines defined in modules
-# that *depend on* this one (the hash tree, the parallel counter)
-# register at their own import time, which keeps this module free of
-# circular imports.
+# that *depend on* this one (the hash tree, the bitmap engine) register
+# at their own import time, which keeps this module free of circular
+# imports.
 
 #: Zero-argument factories of the serial engines, by public name.
 _SERIAL_FACTORIES: dict[str, Callable[[], SupportCounter]] = {
@@ -208,52 +208,10 @@ _SERIAL_FACTORIES: dict[str, Callable[[], SupportCounter]] = {
     "tidset": TidsetCounter,
 }
 
-#: Factory for the sharded parallel counter, registered by
-#: :mod:`repro.parallel`: ``(workers, shard_engine, segment_sizes)``.
-_PARALLEL_FACTORY: (
-    Callable[[int | None, str, Sequence[int] | None], SupportCounter] | None
-) = None
-
-#: Factory for a plain worker pool (chunk-parallel passes that are not
-#: :class:`SupportCounter`-shaped, e.g. DHP's): ``(workers, n_tasks)``.
-_POOL_FACTORY: (
-    Callable[[int | None, int], ContextManager[Any] | None] | None
-) = None
-
-#: Per-engine parallel execution overrides: ``workers=`` combined with
-#: one of these engine names builds the engine's *own* fan-out (the
-#: bitmap engine's thread shards) instead of wrapping it in the
-#: process-pool :class:`~repro.parallel.counter.ParallelCounter`.
-#: Registered by :mod:`repro.parallel` via
-#: ``register_parallel_backend(factory, engine=name)``; each factory is
-#: ``(workers, segment_sizes) -> SupportCounter``.
-_ENGINE_BACKENDS: dict[
-    str, Callable[[int | None, Sequence[int] | None], SupportCounter]
-] = {}
-
-#: Name under which the parallel backend registers itself.
-PARALLEL_ENGINE = "parallel"
-
 #: Environment knob consulted by :func:`resolve_engine` when no engine
 #: is named explicitly — the CI bitmap leg pins ``REPRO_ENGINE=bitmap``
 #: so the whole suite mines on the vertical bit-matrix engine.
 ENGINE_ENV = "REPRO_ENGINE"
-
-#: Circuit breaker guarding the process-parallel execution backend.
-#: Every :class:`~repro.parallel.counter.ParallelCounter` consults it:
-#: a pool that exhausts its rebuild budget records a failure here, and
-#: once it trips, *all* counter selection (this registry included)
-#: degrades to the serial engines — always exact, merely slower — until
-#: the recovery window admits a probe that succeeds. This replaces the
-#: per-call one-shot retry the serve layer used to hand-roll.
-_PARALLEL_BREAKER = CircuitBreaker(
-    failure_threshold=3, recovery_time=30.0, name="engine.parallel"
-)
-
-
-def parallel_breaker() -> CircuitBreaker:
-    """The breaker guarding the parallel backend (shared, process-wide)."""
-    return _PARALLEL_BREAKER
 
 
 def register_engine(
@@ -263,40 +221,14 @@ def register_engine(
     _SERIAL_FACTORIES[name] = factory
 
 
-def register_parallel_backend(
-    counter_factory: Callable[..., SupportCounter],
-    pool_factory: (
-        Callable[[int | None, int], ContextManager[Any] | None] | None
-    ) = None,
-    *,
-    engine: str | None = None,
-) -> None:
-    """Install a parallel execution backend (called by :mod:`repro.parallel`).
-
-    Without *engine* this installs the default process-pool backend:
-    *counter_factory* is ``(workers, shard_engine, segment_sizes)`` and
-    *pool_factory* is ``(workers, n_tasks)``. With ``engine=<name>`` it
-    registers a per-engine override instead — *counter_factory* is
-    ``(workers, segment_sizes)`` and builds that engine's own fan-out
-    (the bitmap engine's thread shards), bypassing the process pool and
-    its transport entirely.
-    """
-    if engine is not None:
-        _ENGINE_BACKENDS[engine] = counter_factory
-        return
-    global _PARALLEL_FACTORY, _POOL_FACTORY
-    _PARALLEL_FACTORY = counter_factory
-    _POOL_FACTORY = pool_factory
-
-
 def resolve_engine(engine: str | None, workers: int | None = None) -> str:
     """Default-engine resolution: the one place the default is decided.
 
     An explicit *engine* name always wins; otherwise the
     ``REPRO_ENGINE`` environment variable (how the CI bitmap leg runs
-    the whole suite on the vertical engine), and finally the historical
-    defaults — ``"parallel"`` when *workers* were requested, the subset
-    engine otherwise.
+    the whole suite on the vertical engine), and finally the defaults —
+    ``"bitmap"`` when *workers* were requested (its thread shards are
+    the only counting fan-out), the subset engine otherwise.
     """
     if engine is not None:
         return engine
@@ -305,23 +237,18 @@ def resolve_engine(engine: str | None, workers: int | None = None) -> str:
         # Validate here so a typo in the environment fails with the
         # same listing error an explicit name gets from make_counter,
         # instead of surfacing later as a bare lookup failure.
-        # ``parallel`` is always accepted: the variable may be read
-        # before repro.parallel registers its factory.
-        if env != PARALLEL_ENGINE and env not in _SERIAL_FACTORIES:
+        if env not in _SERIAL_FACTORIES:
             raise ValueError(
                 f"unknown counting engine {env!r} in ${ENGINE_ENV}; "
                 f"expected one of {', '.join(registered_engines())}"
             )
         return env
-    return PARALLEL_ENGINE if workers is not None else "subset"
+    return "bitmap" if workers is not None else "subset"
 
 
 def registered_engines() -> tuple[str, ...]:
     """Names :func:`make_counter` accepts, sorted."""
-    names = set(_SERIAL_FACTORIES)
-    if _PARALLEL_FACTORY is not None:
-        names.add(PARALLEL_ENGINE)
-    return tuple(sorted(names))
+    return tuple(sorted(_SERIAL_FACTORIES))
 
 
 def make_counter(
@@ -332,76 +259,47 @@ def make_counter(
 ) -> SupportCounter:
     """Build a counting engine by name — the one counter-selection seam.
 
-    ``engine`` is one of :func:`registered_engines`: a serial engine
-    (``"subset"``, ``"tidset"``, ``"hashtree"``) or ``"parallel"``.
-    With ``workers=`` the counting fans out over worker processes and
-    a serial *engine* name selects the per-shard engine; ``"parallel"``
-    alone uses the sharded counter's default shard engine.
-    *segment_sizes* (an OSSM's segment composition) aligns shard
-    boundaries with segments and is ignored by serial engines.
+    ``engine`` is one of :func:`registered_engines` (``"subset"``,
+    ``"tidset"``, ``"hashtree"``, ``"bitmap"``). ``workers=`` fans the
+    bitmap engine out over thread shards
+    (:class:`~repro.parallel.threads.ThreadedBitmapCounter`, which
+    *segment_sizes* — an OSSM's segment composition — also configures).
+    Every other engine counts serially whatever *workers* says: sharding
+    counting over worker processes measured slower than the serial
+    bitmap engine (DESIGN.md §9).
     """
-    if engine == PARALLEL_ENGINE:
-        if _PARALLEL_FACTORY is None:
-            raise RuntimeError(
-                "parallel engine requested but repro.parallel is not "
-                "imported; import repro (or repro.parallel) first"
-            )
-        if _PARALLEL_BREAKER.is_open:
-            return _degraded_serial("tidset")
-        return _PARALLEL_FACTORY(workers, "tidset", segment_sizes)
     factory = _SERIAL_FACTORIES.get(engine)
     if factory is None:
         raise ValueError(
             f"unknown counting engine {engine!r}; expected one of "
             f"{', '.join(registered_engines())}"
         )
-    if workers is None:
-        return factory()
-    override = _ENGINE_BACKENDS.get(engine)
-    if override is not None:
-        # Engines with their own fan-out (bitmap's thread shards) have
-        # no worker processes for the pool breaker to guard; a poisoned
-        # shard degrades to the engine's serial reduction internally.
-        return override(workers, segment_sizes)
-    if _PARALLEL_FACTORY is None:
-        raise RuntimeError(
-            "workers= requested but repro.parallel is not imported; "
-            "import repro (or repro.parallel) first"
-        )
-    if _PARALLEL_BREAKER.is_open:
-        return _degraded_serial(engine)
-    return _PARALLEL_FACTORY(workers, engine, segment_sizes)
+    if workers is not None and engine == "bitmap":
+        # Imported on the threaded branch only: repro.parallel builds
+        # on repro.mining.
+        from ..parallel.threads import ThreadedBitmapCounter
 
-
-def _degraded_serial(engine: str) -> SupportCounter:
-    """The serial engine handed out while the parallel breaker is open."""
-    registry = get_registry()
-    if registry.enabled:
-        registry.inc("resilience.engine.degraded")
-    factory = _SERIAL_FACTORIES.get(engine)
-    if factory is None:
-        raise ValueError(
-            f"unknown counting engine {engine!r}; expected one of "
-            f"{', '.join(registered_engines())}"
+        return ThreadedBitmapCounter(
+            workers=workers, segment_sizes=segment_sizes
         )
     return factory()
 
 
-def make_pool(
-    workers: int | None, n_tasks: int
-) -> ContextManager[Any] | None:
-    """A plain worker pool for chunk-parallel passes, or ``None``.
+def make_pool(workers: int | None, n_tasks: int) -> SupervisedPool | None:
+    """A supervised worker pool for chunk-parallel passes, or ``None``.
 
     Returns ``None`` — run serially — when *workers* is ``None``, when
     the resolved worker count is 1, or when there are not enough tasks
     to split. Used by miners whose parallel passes are not
     :class:`SupportCounter`-shaped (DHP's hash-building count passes).
     """
-    if workers is None or _POOL_FACTORY is None:
-        return None
-    if _PARALLEL_BREAKER.is_open:
-        registry = get_registry()
-        if registry.enabled:
-            registry.inc("resilience.engine.degraded")
-        return None
-    return _POOL_FACTORY(workers, n_tasks)
+    if workers is not None and n_tasks > 1:
+        # Imported on the parallel branch only: repro.parallel builds
+        # on repro.mining, and serial runs never load it.
+        from ..parallel.plan import resolve_workers
+        from ..parallel.pool import SupervisedPool
+
+        resolved = resolve_workers(workers)
+        if resolved > 1:
+            return SupervisedPool(resolved, name="parallel.chunks")
+    return None

@@ -88,14 +88,15 @@ class Partition:
     workers:
         Fan the phase-1 local mining runs out over this many worker
         processes (one task per partition; local pruners must be
-        picklable) and count phase 2 with a
-        :class:`~repro.parallel.counter.ParallelCounter`. Both phases
-        produce exactly the serial result: the candidate union is
-        order-independent and the parallel counter is exact.
+        picklable) and count phase 2 under Apriori's ``workers=`` rule:
+        bitmap thread shards when no ``engine`` is named, serial
+        counting for any other named engine. Both phases produce
+        exactly the serial result: the candidate union is
+        order-independent and the thread shards sum exactly.
     engine:
         Phase-2 counting-engine name resolved through
         :func:`~repro.mining.counting.make_counter`; default subset
-        (serial) or the sharded parallel counter (with ``workers``).
+        (serial) or bitmap (with ``workers``).
     checkpoint_dir:
         Snapshot progress there: unit 0 is the completed phase-1
         candidate union, unit ``k`` each completed phase-2 level.
@@ -351,8 +352,8 @@ class Partition:
     def _phase_two_counter(
         self, workers: int, global_pruner: CandidatePruner
     ) -> SupportCounter:
-        """Serial subset counter, or the sharded parallel counter —
-        both resolved through the engine registry."""
+        """The phase-2 counter, resolved through the engine registry
+        under the ``workers=`` rule."""
         ossm = getattr(global_pruner, "ossm", None)
         sizes = ossm.segment_sizes if ossm is not None else None
         engine = resolve_engine(

@@ -1,85 +1,33 @@
-"""Segment-sharded process-parallel execution layer.
+"""Parallel execution: thread-sharded counting and chunk process pools.
 
-The OSSM's segment structure is an embarrassingly parallel
-decomposition: per-segment singleton supports are independent, support
-is additive over contiguous shards, and Equation (1) is a
-per-candidate computation. This package exploits all three without
-changing a single result — every parallel path is exactly equivalent
-to its serial counterpart (DESIGN.md §9), and ``tests/parallel`` holds
-the differential harness that proves it on every build.
+Every parallel path here is exactly equivalent to its serial
+counterpart (DESIGN.md §9), and ``tests/parallel`` holds the
+differential harness that proves it on every build.
 
-* :class:`~repro.parallel.counter.ParallelCounter` — the
-  :class:`~repro.mining.counting.SupportCounter` that shards the
-  database and sums per-shard int64 counts.
-* :func:`~repro.parallel.ossm.parallel_build_ossm` /
-  :func:`~repro.parallel.ossm.parallel_upper_bounds` /
-  :class:`~repro.parallel.ossm.ParallelOSSMPruner` — parallel OSSM
-  construction and chunk-parallel bound evaluation.
-* :class:`~repro.parallel.plan.ShardPlanner` — segment-aligned shard
-  boundary selection; :func:`~repro.parallel.plan.resolve_workers` —
-  the ``workers=`` / ``REPRO_WORKERS`` knob.
-* :class:`~repro.parallel.pool.WorkerPool` — the process-pool plumbing
-  (payload shipped once per worker, shared-memory candidate tables).
+* :class:`~repro.parallel.threads.ThreadedBitmapCounter` — the
+  ``workers=`` counting path: bitmap AND+popcount over word-column
+  thread shards, summed in int64.
+* :func:`~repro.parallel.ossm.parallel_upper_bounds` — chunk-parallel
+  Equation (1) evaluation, used by the serve pool.
+* :class:`~repro.parallel.pool.SupervisedPool` /
+  :class:`~repro.parallel.pool.WorkerPool` — the process pools behind
+  DHP's chunk passes, Partition's phase 1 and the serve pool (payload
+  shipped once per worker, shared-memory candidate tables).
+* :class:`~repro.parallel.plan.ShardPlan` — contiguous cut points;
+  :func:`~repro.parallel.plan.resolve_workers` — the ``workers=`` /
+  ``REPRO_WORKERS`` knob.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from ..mining.counting import SupportCounter, register_parallel_backend
-from .counter import ParallelCounter
-from .ossm import (
-    ParallelOSSMPruner,
-    parallel_build_ossm,
-    parallel_upper_bounds,
-)
-from .plan import ShardPlan, ShardPlanner, resolve_workers
+from .ossm import parallel_upper_bounds
+from .plan import ShardPlan, resolve_workers
 from .pool import SupervisedPool, WorkerPool
 from .threads import ThreadedBitmapCounter, ThreadShardPlanner
 
-
-def _counter_factory(
-    workers: int | None,
-    shard_engine: str,
-    segment_sizes: Sequence[int] | None,
-) -> SupportCounter:
-    """:func:`repro.mining.counting.make_counter` backend."""
-    return ParallelCounter(
-        workers=workers, engine=shard_engine, segment_sizes=segment_sizes
-    )
-
-
-def _pool_factory(
-    workers: int | None, n_tasks: int
-) -> SupervisedPool | None:
-    """:func:`repro.mining.counting.make_pool` backend."""
-    resolved = resolve_workers(workers)
-    if resolved <= 1 or n_tasks <= 1:
-        return None
-    return SupervisedPool(resolved, name="parallel.chunks")
-
-
-def _bitmap_thread_factory(
-    workers: int | None, segment_sizes: Sequence[int] | None
-) -> SupportCounter:
-    """Per-engine ``make_counter`` override: bitmap + workers → threads."""
-    return ThreadedBitmapCounter(workers=workers, segment_sizes=segment_sizes)
-
-
-# Counter selection lives in repro.mining.counting; this package plugs
-# its process-parallel engines into that registry at import time. The
-# bitmap engine fans out over threads instead (its numpy kernels
-# release the GIL), so it bypasses the process pool entirely.
-register_parallel_backend(_counter_factory, _pool_factory)
-register_parallel_backend(_bitmap_thread_factory, engine="bitmap")
-
 __all__ = [
-    "ParallelCounter",
-    "ParallelOSSMPruner",
-    "parallel_build_ossm",
     "parallel_upper_bounds",
     "ShardPlan",
-    "ShardPlanner",
     "ThreadedBitmapCounter",
     "ThreadShardPlanner",
     "resolve_workers",

@@ -1,25 +1,14 @@
-"""Parallel OSSM construction and chunk-parallel Equation (1) bounds.
+"""Chunk-parallel Equation (1) bounds for the serve pool.
 
-Two fan-outs, both provably exact (DESIGN.md §9):
-
-* :func:`parallel_build_ossm` — the per-segment singleton support rows
-  are independent of each other, so shards (contiguous runs of whole
-  segments) compute their rows in worker processes and the parent
-  concatenates them in segment order. The result is the same matrix
-  ``build_from_database`` produces, row for row.
-* :func:`parallel_upper_bounds` — Equation (1) is evaluated per
-  candidate with no cross-candidate state, so the candidate table is
-  split into contiguous chunks, each worker runs the ordinary
-  ``OSSM.upper_bounds`` over its chunk, and the parent concatenates.
-  Every worker executes the *same* integer arithmetic as the serial
-  path (including the documented-exact pair fast path), so the bound
-  vector is identical — and therefore exactly as sound.
-
-:class:`ParallelOSSMPruner` packages the chunk-parallel evaluation as a
-drop-in :class:`~repro.mining.pruning.OSSMPruner`: same ``"+ossm"``
-label, same survivors, same recorded bounds — only the evaluation fans
-out. This module is registered with the bound-soundness lint tier: all
-support arithmetic here is int64, like the serial map.
+Equation (1) is evaluated per candidate with no cross-candidate state,
+so :func:`parallel_upper_bounds` splits the candidate table into
+contiguous chunks, each worker runs the ordinary
+``OSSM.upper_bounds`` over its chunk, and the parent concatenates.
+Every worker executes the *same* integer arithmetic as the serial path
+(including the documented-exact pair fast path), so the bound vector
+is identical — and therefore exactly as sound (DESIGN.md §9). This
+module is registered with the bound-soundness lint tier: all support
+arithmetic here is int64, like the serial map.
 """
 
 from __future__ import annotations
@@ -29,105 +18,18 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.ossm import OSSM, build_from_database
-from ..data.transactions import TransactionDatabase
-from ..mining.pruning import OSSMPruner
+from ..core.ossm import OSSM
 from ..obs.trace import trace
-from .plan import ShardPlanner, resolve_workers
+from .plan import resolve_workers
 from .pool import (
     WorkerPool,
     bounds_chunk,
     init_bound_map,
-    init_shards,
     publish_int64,
     record_fanout,
-    segment_rows_shard,
 )
 
-__all__ = [
-    "parallel_build_ossm",
-    "parallel_upper_bounds",
-    "ParallelOSSMPruner",
-]
-
-Itemset = tuple[int, ...]
-
-
-def parallel_build_ossm(
-    database: TransactionDatabase,
-    boundaries: Sequence[int],
-    workers: int | None = None,
-    planner: ShardPlanner | None = None,
-) -> OSSM:
-    """Build the OSSM of *boundaries* with per-shard worker processes.
-
-    *boundaries* are segment cut points ``[0, b1, ..., N]`` exactly as
-    :func:`~repro.core.ossm.build_from_database` takes them; empty
-    segments (repeated cut points) are legal and yield all-zero rows,
-    as in the serial builder. Shards are contiguous runs of whole
-    segments, so concatenating the per-shard row blocks in shard order
-    reproduces the serial matrix exactly.
-    """
-    cuts = [int(boundary) for boundary in boundaries]
-    if list(cuts) != sorted(cuts):
-        raise ValueError("boundaries must be non-decreasing")
-    if not cuts or cuts[0] != 0 or cuts[-1] != len(database):
-        raise ValueError(
-            "boundaries must start at 0 and end at len(database)"
-        )
-    n_workers = resolve_workers(workers)
-    n_transactions = len(database)
-    segment_sizes = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-    if n_workers == 1 or n_transactions == 0 or len(segment_sizes) <= 1:
-        return build_from_database(database, cuts)
-    chosen_planner = planner if planner is not None else ShardPlanner()
-    plan = chosen_planner.plan(n_transactions, n_workers, segment_sizes)
-    if plan.n_shards <= 1:
-        return build_from_database(database, cuts)
-
-    # Assign each segment (including empty ones) to exactly one shard.
-    # Shard cuts are a subset of the segment cuts, so every segment fits
-    # in one shard; an empty segment sitting exactly on a shard boundary
-    # goes to the earlier shard.
-    shard_ranges = plan.ranges()
-    per_shard: list[list[tuple[int, int]]] = [[] for _ in shard_ranges]
-    shard = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        while hi > shard_ranges[shard][1]:
-            shard += 1
-        per_shard[shard].append((lo, hi))
-    payloads = []
-    for index, segments in enumerate(per_shard):
-        shard_lo = shard_ranges[index][0]
-        local = (segments[0][0] - shard_lo,) + tuple(
-            hi - shard_lo for _lo, hi in segments
-        )
-        payloads.append((index, local))
-
-    shards = tuple(database[lo:hi] for lo, hi in shard_ranges)
-    start = time.perf_counter()
-    with trace(
-        "parallel.ossm_build",
-        shards=plan.n_shards,
-        workers=n_workers,
-        segments=len(segment_sizes),
-    ):
-        with WorkerPool(
-            min(n_workers, plan.n_shards), init_shards, shards
-        ) as pool:
-            results = pool.run(segment_rows_shard, payloads)
-    wall = time.perf_counter() - start
-    matrix = np.vstack([rows for _index, rows, _sizes, _sec in results])
-    sizes = [
-        size for _index, _rows, shard_sizes, _sec in results
-        for size in shard_sizes
-    ]
-    timings = [
-        (index, sum(shard_sizes), seconds)
-        for index, _rows, shard_sizes, seconds in results
-    ]
-    record_fanout("parallel.ossm_build", timings, wall)
-    return OSSM(matrix, segment_sizes=sizes)
+__all__ = ["parallel_upper_bounds"]
 
 
 def parallel_upper_bounds(
@@ -140,8 +42,8 @@ def parallel_upper_bounds(
 
     When *pool* is given it must have been created with
     :func:`~repro.parallel.pool.init_bound_map` over this map's matrix
-    (that is what :class:`ParallelOSSMPruner` maintains); otherwise a
-    one-shot pool is created and torn down inside the call.
+    (that is what the serve pool maintains); otherwise a one-shot pool
+    is created and torn down inside the call.
     """
     n_candidates = len(itemsets)
     if n_candidates == 0:
@@ -197,77 +99,3 @@ def parallel_upper_bounds(
     ]
     record_fanout("parallel.bounds", timings, wall)
     return bounds.astype(np.int64)
-
-
-class ParallelOSSMPruner(OSSMPruner):
-    """OSSM pruner whose Equation (1) evaluation fans out over chunks.
-
-    Keeps the serial pruner's ``"+ossm"`` label so a
-    :class:`~repro.mining.base.MiningResult` is byte-identical whether
-    bounds were evaluated serially or in parallel. The worker pool is
-    created lazily on first use (the map is immutable, so it is shipped
-    to workers once) and released by :meth:`close`.
-    """
-
-    def __init__(self, ossm: OSSM, workers: int | None = None) -> None:
-        super().__init__(ossm)
-        self.workers = resolve_workers(workers)
-        self._pool: WorkerPool | None = None
-
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.workers, init_bound_map, np.asarray(self.ossm.matrix)
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Release the worker processes (idempotent, safe on
-        half-built instances)."""
-        pool = getattr(self, "_pool", None)
-        self._pool = None
-        if pool is not None:
-            pool.close()
-
-    def __enter__(self) -> "ParallelOSSMPruner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        # Never propagate from a finalizer (see WorkerPool.__del__).
-        try:
-            self.close()
-        except BaseException:
-            pass
-
-    def _bounds(self, candidates: Sequence[Itemset]) -> np.ndarray:
-        if self.workers == 1 or len(candidates) < 2:
-            return self.ossm.upper_bounds(candidates)
-        return parallel_upper_bounds(
-            self.ossm, candidates, pool=self._ensure_pool()
-        )
-
-    def prune(
-        self, candidates: Sequence[Itemset], min_support: int
-    ) -> list[Itemset]:
-        if not candidates:
-            self._record_prune(0, 0)
-            return []
-        bounds = self._bounds(candidates)
-        threshold = int(min_support)
-        survivors = [
-            candidate
-            for candidate, bound in zip(candidates, bounds)
-            if bound >= threshold
-        ]
-        self._record_prune(len(candidates), len(survivors))
-        return survivors
-
-    def candidate_bounds(
-        self, candidates: Sequence[Itemset]
-    ) -> np.ndarray | None:
-        if not candidates:
-            return None
-        return self._bounds(candidates)

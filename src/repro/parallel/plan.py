@@ -1,33 +1,25 @@
-"""Shard planning: how a transaction collection splits across workers.
+"""Shard plans and the ``workers=`` knob.
 
-A *shard* is a contiguous transaction range ``[lo, hi)``; a plan is the
-sorted list of cut points ``[0, b1, ..., N]`` — the same boundary
-convention :func:`repro.core.ossm.build_from_database` uses for
-segments, deliberately, because the exactness argument (DESIGN.md §9)
-rests on shards being a partition of the collection into contiguous
-runs. Support is additive over any such partition, so per-shard counts
-always sum to the exact global count; *segment-aligned* shards
-additionally keep every OSSM segment inside one shard, which is what
-makes parallel OSSM construction a pure row concatenation.
-
-:class:`ShardPlanner` chooses cut points from the segment composition
-when one is available (an :class:`~repro.core.ossm.OSSM`'s
-``segment_sizes``) and falls back to an even split otherwise. Degenerate
-compositions — empty segments, single-transaction segments, one giant
-segment — degrade gracefully: duplicate cuts collapse, so a plan never
-contains an empty shard unless the collection itself is empty.
+A *shard* is a contiguous range ``[lo, hi)``; a plan is the sorted list
+of cut points ``[0, b1, ..., N]`` — the same boundary convention
+:func:`repro.core.ossm.build_from_database` uses for segments,
+deliberately, because the exactness argument (DESIGN.md §9) rests on
+shards being a partition of the collection into contiguous runs.
+Support is additive over any such partition, so per-shard counts
+always sum to the exact global count. The bitmap thread path
+(:class:`~repro.parallel.threads.ThreadShardPlanner`) cuts in packed
+64-transaction words.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-__all__ = ["ShardPlan", "ShardPlanner", "resolve_workers"]
+__all__ = ["ShardPlan", "resolve_workers"]
 
 #: Environment knob consulted when ``workers`` is not given explicitly —
-#: the CI ``workers=2`` leg pins it so the whole suite runs sharded.
+#: the CI bitmap leg pins it so the thread path runs sharded.
 WORKERS_ENV = "REPRO_WORKERS"
 
 
@@ -86,81 +78,3 @@ class ShardPlan:
     def ranges(self) -> list[tuple[int, int]]:
         """The ``[lo, hi)`` transaction range of every shard."""
         return list(zip(self.boundaries, self.boundaries[1:]))
-
-
-@dataclass(frozen=True)
-class ShardPlanner:
-    """Chooses shard boundaries for a collection and a worker count.
-
-    Parameters
-    ----------
-    n_shards:
-        Explicit shard count; ``None`` derives it from the worker
-        count.
-    shards_per_worker:
-        Fan-out factor when ``n_shards`` is ``None``. The default (1)
-        minimizes per-shard overhead; raise it for workloads with
-        skewed per-transaction cost, where smaller shards balance load.
-    """
-
-    n_shards: int | None = None
-    shards_per_worker: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_shards is not None and self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1 or None")
-        if self.shards_per_worker < 1:
-            raise ValueError("shards_per_worker must be >= 1")
-
-    def plan(
-        self,
-        n_transactions: int,
-        workers: int,
-        segment_sizes: Sequence[int] | None = None,
-    ) -> ShardPlan:
-        """Cut ``n_transactions`` into shards for *workers* processes.
-
-        When *segment_sizes* is given (and consistent with the
-        collection), cut points snap to segment boundaries so no OSSM
-        segment straddles two shards. Inconsistent sizes — a map built
-        from a different collection — are ignored rather than trusted.
-        """
-        if n_transactions < 0:
-            raise ValueError("n_transactions must be >= 0")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if n_transactions == 0:
-            return ShardPlan((0,))
-        target = self.n_shards
-        if target is None:
-            target = workers * self.shards_per_worker
-        target = min(target, n_transactions)
-        if segment_sizes is not None and sum(segment_sizes) == n_transactions:
-            return self._segment_aligned(
-                n_transactions, target, segment_sizes
-            )
-        return ShardPlan(self._even_cuts(n_transactions, target))
-
-    @staticmethod
-    def _even_cuts(n: int, target: int) -> tuple[int, ...]:
-        """``target + 1`` cut points splitting ``n`` as evenly as possible."""
-        return tuple(i * n // target for i in range(target + 1))
-
-    @staticmethod
-    def _segment_aligned(
-        n: int, target: int, segment_sizes: Sequence[int]
-    ) -> ShardPlan:
-        """Snap the even cut points to the nearest segment boundary."""
-        segment_cuts = [0]
-        for size in segment_sizes:
-            if size < 0:
-                raise ValueError("segment sizes must be non-negative")
-            segment_cuts.append(segment_cuts[-1] + size)
-        boundaries = [0]
-        for i in range(1, target):
-            ideal = i * n // target
-            snapped = min(segment_cuts, key=lambda c: abs(c - ideal))
-            if boundaries[-1] < snapped < n:
-                boundaries.append(snapped)
-        boundaries.append(n)
-        return ShardPlan(tuple(boundaries))

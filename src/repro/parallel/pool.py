@@ -1,29 +1,30 @@
-"""Worker-process machinery for the segment-sharded execution layer.
+"""Worker-process machinery for the chunk-parallel passes.
 
-Everything process-related lives here so the public classes
-(:class:`~repro.parallel.counter.ParallelCounter`, the parallel OSSM
-builders) stay free of pool plumbing:
+Everything process-related lives here so its callers (DHP's chunk
+passes, Partition's phase 1, the serve pool's Equation (1) chunks)
+stay free of pool plumbing:
 
 * :class:`WorkerPool` — a ``ProcessPoolExecutor`` whose workers hold
-  one immutable payload (the shard databases, or an OSSM matrix).
-  Under the ``fork`` start method the payload is inherited by
-  reference at worker creation — zero serialization; under ``spawn``
-  it is pickled once per worker process, never per task.
+  one immutable payload (e.g. an OSSM matrix). Under the ``fork``
+  start method the payload is inherited by reference at worker
+  creation — zero serialization; under ``spawn`` it is pickled once
+  per worker process, never per task.
+* :class:`SupervisedPool` — a :class:`WorkerPool` with crash/hang
+  supervision and whole-batch retry.
 * shared-memory transport for the candidate table: candidates of one
   cardinality form an ``n × k`` **int64** matrix (integer support
   arithmetic only — the same discipline the bound-soundness lint
-  enforces), published once per counting call and attached read-only
-  by every worker.
+  enforces), published once per evaluation call and attached
+  read-only by every worker.
 * the fan-out telemetry helpers: one ``parallel.shard`` span per shard
   (worker-measured wall time) plus the ``parallel.*`` timers and the
   fan-out overhead counter, all through the existing :mod:`repro.obs`
   seam.
 
 Worker functions are module-level (picklable by reference) and return
-plain ``(index, int64 vector/matrix, seconds)`` tuples, so reductions
-in the parent are explicit and exact: per-shard counts are summed,
-per-shard rows are concatenated in shard order. No float ever touches
-a support value.
+plain ``(index, int64 vector, seconds)`` tuples, so reductions in the
+parent are explicit and exact: per-chunk bounds are concatenated in
+chunk order. No float ever touches a support value.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core.ossm import OSSM
-from ..data.transactions import TransactionDatabase
-from ..mining.counting import SubsetCounter, SupportCounter, TidsetCounter
-from ..mining.hash_tree import HashTreeCounter
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.trace import trace
@@ -59,19 +57,13 @@ __all__ = [
     "WorkerPool",
     "SupervisedPool",
     "plain_pool",
-    "ENGINES",
     "publish_int64",
     "attach_int64",
     "record_fanout",
-    "count_shard",
-    "segment_rows_shard",
     "bounds_chunk",
-    "init_shards",
     "init_bound_map",
     "TASK_DEADLINE_ENV",
 ]
-
-Itemset = tuple[int, ...]
 
 logger = get_logger(__name__)
 
@@ -84,33 +76,10 @@ _DEFAULT_MAX_REBUILDS = 3
 #: Supervisor poll interval while a batch is in flight.
 _POLL_INTERVAL = 0.05
 
-#: Names of the per-shard counting engines a worker can instantiate.
-#: Strings (not instances) cross the process boundary, so every worker
-#: builds — and caches — its own engine per shard.
-ENGINES: tuple[str, ...] = ("subset", "tidset", "hashtree")
-
-_ENGINE_FACTORIES: dict[str, Callable[[], SupportCounter]] = {
-    "subset": SubsetCounter,
-    "tidset": TidsetCounter,
-    "hashtree": HashTreeCounter,
-}
-
 # -- worker-side state -------------------------------------------------------
 
-#: Shard databases held by this worker process (set by :func:`init_shards`).
-_SHARDS: tuple[TransactionDatabase, ...] = ()
 #: OSSM reconstructed in this worker (set by :func:`init_bound_map`).
 _BOUND_MAP: OSSM | None = None
-#: Per-(shard, engine) counter cache; lets the tidset engine pay its
-#: verticalization once per shard instead of once per level.
-_ENGINE_CACHE: dict[tuple[int, str], SupportCounter] = {}
-
-
-def init_shards(shards: tuple[TransactionDatabase, ...]) -> None:
-    """Pool initializer: install the shard snapshot in this worker."""
-    global _SHARDS
-    _SHARDS = shards
-    _ENGINE_CACHE.clear()
 
 
 def init_bound_map(matrix: np.ndarray) -> None:
@@ -119,28 +88,7 @@ def init_bound_map(matrix: np.ndarray) -> None:
     _BOUND_MAP = OSSM(matrix)
 
 
-def _shard_engine(shard_index: int, engine: str) -> SupportCounter:
-    key = (shard_index, engine)
-    counter = _ENGINE_CACHE.get(key)
-    if counter is None:
-        factory = _ENGINE_FACTORIES.get(engine)
-        if factory is None:
-            raise ValueError(
-                f"unknown shard counting engine {engine!r}; expected "
-                f"one of {', '.join(ENGINES)}"
-            )
-        counter = factory()
-        _ENGINE_CACHE[key] = counter
-    return counter
-
-
 # -- worker-side telemetry ----------------------------------------------------
-
-#: Counter prefixes that only the parent process may report. Engine
-#: selection (breaker-degraded fallbacks) is decided once per run; a
-#: forked worker inherits the parent's breaker state and would re-
-#: report the *same* decision, so its copies are dropped at harvest.
-PARENT_ONLY_COUNTER_PREFIXES: tuple[str, ...] = ("resilience.engine.",)
 
 
 def _obs_init(bundle: tuple[Any, ...]) -> None:
@@ -185,13 +133,6 @@ def _harvest(wrapped: list[Any]) -> list[Any]:
     results = []
     for result, delta in wrapped:
         if delta is not None and registry.enabled:
-            counters = delta.get("counters")
-            if counters:
-                delta["counters"] = {
-                    name: value
-                    for name, value in counters.items()
-                    if not name.startswith(PARENT_ONLY_COUNTER_PREFIXES)
-                }
             registry.merge(delta)
         results.append(result)
     return results
@@ -298,68 +239,17 @@ def attach_int64(
 # -- worker task functions ---------------------------------------------------
 
 
-def count_shard(
-    payload: tuple[int, str, str, int, int]
-) -> tuple[int, np.ndarray, float]:
-    """Count the shared candidate table against one shard.
-
-    Payload: ``(shard_index, engine, shm_name, n_candidates, k)``.
-    Returns ``(shard_index, int64 count vector, worker_seconds)``; the
-    vector is aligned with the candidate table's row order, so parent-
-    side reduction is a plain elementwise sum.
-    """
-    shard_index, engine, shm_name, n_candidates, k = payload
-    start = time.perf_counter()
-    view, segment = attach_int64(shm_name, (n_candidates, k))
-    try:
-        candidates: list[Itemset] = [tuple(map(int, row)) for row in view]
-    finally:
-        segment.close()
-    counter = _shard_engine(shard_index, engine)
-    counts = counter.count(_SHARDS[shard_index], candidates)
-    vector = np.fromiter(
-        (counts[candidate] for candidate in candidates),
-        dtype=np.int64,
-        count=n_candidates,
-    )
-    return shard_index, vector, time.perf_counter() - start
-
-
-def segment_rows_shard(
-    payload: tuple[int, tuple[int, ...]]
-) -> tuple[int, np.ndarray, list[int], float]:
-    """Per-segment singleton support rows for one shard's segments.
-
-    Payload: ``(shard_index, local_cuts)`` where *local_cuts* are the
-    segment boundaries relative to the shard start. Returns the rows in
-    segment order plus the segment sizes, so the parent's concatenation
-    reproduces the serial OSSM exactly.
-    """
-    shard_index, local_cuts = payload
-    start = time.perf_counter()
-    shard = _SHARDS[shard_index]
-    rows: list[np.ndarray] = []
-    sizes: list[int] = []
-    for lo, hi in zip(local_cuts, local_cuts[1:]):
-        segment = shard[lo:hi]
-        rows.append(segment.item_supports())
-        sizes.append(len(segment))
-    matrix = np.vstack(rows)
-    return shard_index, matrix, sizes, time.perf_counter() - start
-
-
 def bounds_chunk(
-    payload: tuple[int, str, int, int, int]
+    payload: tuple[int, str, int, int, int, int]
 ) -> tuple[int, np.ndarray, float]:
     """Equation (1) bounds for one chunk of the shared candidate table.
 
-    Payload: ``(chunk_index, shm_name, n_candidates, k, lo, hi)`` is
-    packed as ``(chunk_index, shm_name, n_candidates, k, (lo, hi))``
-    would be redundant — the chunk's row range is ``[lo, hi)`` of the
-    shared table. Uses the worker's reconstructed OSSM, so the bound
+    Payload: ``(chunk_index, shm_name, n_candidates, k, lo, hi)``. The
+    shared table is ``n_candidates × k``; this chunk is its rows
+    ``[lo, hi)``. Uses the worker's reconstructed OSSM, so the bound
     arithmetic is byte-for-byte the serial ``upper_bounds`` path.
     """
-    chunk_index, shm_name, n_candidates, k, lo, hi = payload  # type: ignore[misc]
+    chunk_index, shm_name, n_candidates, k, lo, hi = payload
     start = time.perf_counter()
     if _BOUND_MAP is None:
         raise RuntimeError("worker missing bound map; wrong initializer")

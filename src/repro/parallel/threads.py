@@ -1,29 +1,27 @@
 """Thread-sharded execution for the vertical bitmap engine.
 
-The process pool exists because pure-python counting holds the GIL; its
-price is fork, pickle and a shared-memory candidate transport. The
-bitmap engine's kernels (gather, bitwise AND, popcount) are numpy ufunc
-loops that *release* the GIL, so for this engine the cheap
-fan-out is threads over one shared read-only
-:class:`~repro.mining.bitmap.PackedBitmap` — no serialization, no
-shared-memory segments (that transport is legacy here), no worker
-processes to supervise.
+This is the ``workers=`` counting path. A process pool would pay for
+fork, pickle and a shared-memory candidate transport; the bitmap
+engine's kernels (gather, bitwise AND, popcount) are numpy ufunc loops
+that *release* the GIL, so threads over one shared read-only
+:class:`~repro.mining.bitmap.PackedBitmap` fan out with no
+serialization, no shared-memory segments and no worker processes to
+supervise.
 
 Sharding is by *word columns*: shard ``i`` owns the packed words
 ``[b_i, b_{i+1})``, i.e. transactions ``[64·b_i, 64·b_{i+1})``. Word
 columns partition the transaction bits, support is additive over any
 partition of the transactions, and per-shard popcounts are int64 —
 so the parent's elementwise sum equals the serial count bit for bit,
-whatever the thread count or completion order (the same DESIGN.md §9
-argument as the process path, one level down). DESIGN.md §14 spells it
-out for words.
+whatever the thread count or completion order (DESIGN.md §9; §14
+spells it out for words).
 
 A shard that raises — including an injected ``bitmap.shard_error`` —
 poisons the whole fan-out: the counter abandons the batch and falls
 back to the serial bitmap reduction exactly once for that call, which
 is always exact. Thread shards cannot crash the interpreter the way a
 SIGKILLed worker process can, so there is no rebuild/retry machinery
-and the process-pool circuit breaker is deliberately not consulted.
+and no circuit breaker.
 """
 
 from __future__ import annotations
@@ -66,8 +64,8 @@ class ThreadShardPlanner:
 
     Boundaries are in *words* (64-transaction units), so every shard is
     a whole number of packed words and the per-shard reduce needs no
-    edge masks. Reuses :class:`~repro.parallel.plan.ShardPlan` — the
-    same cut-point convention as the process planner, in word units.
+    edge masks. Returns a :class:`~repro.parallel.plan.ShardPlan` —
+    the segment cut-point convention, in word units.
 
     Parameters
     ----------
@@ -109,9 +107,9 @@ def _count_shard(
 ) -> tuple[int, np.ndarray, float]:
     """One shard's AND+popcount over its word-column range.
 
-    Returns ``(shard_index, int64 partial counts, seconds)`` — the same
-    result shape as the process path's ``count_shard``, so the parent
-    reduce and the fan-out telemetry are symmetrical.
+    Returns ``(shard_index, int64 partial counts, seconds)`` — the
+    shape :func:`~repro.parallel.pool.record_fanout` timings are built
+    from.
     """
     packed, table, shard_index, w_lo, w_hi = payload
     start = time.perf_counter()

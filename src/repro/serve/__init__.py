@@ -8,7 +8,9 @@ gateway. See DESIGN.md §10 for the epoch/invalidation correctness
 argument, §15 for tenant isolation, and ``repro-ossm serve`` for the
 CLI front end.
 
-* :class:`~repro.serve.service.BoundQueryService` — one map's service.
+* :class:`~repro.serve.service.BoundQueryService` — one map's service;
+  its batches come back as :class:`~repro.serve.service.EpochBounds`,
+  labelled with the epoch of the map that answered them.
 * :class:`~repro.serve.cache.EpochLRUCache` — the bound cache.
 * :class:`~repro.serve.tenants.TenantRegistry` /
   :class:`~repro.serve.tenants.Tenant` — named services with
@@ -40,7 +42,7 @@ from .errors import (
     UnknownTenant,
 )
 from .gateway import Gateway
-from .service import BoundQueryService, canonical_itemset
+from .service import BoundQueryService, EpochBounds, canonical_itemset
 from .tenants import Tenant, TenantQuota, TenantRegistry, TokenBucket
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "BoundQueryService",
     "CacheStats",
     "Draining",
+    "EpochBounds",
     "EpochLRUCache",
     "Gateway",
     "InvalidRequest",

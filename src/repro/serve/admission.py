@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from .errors import QuotaExceeded, ServiceClosed
-from .service import BoundQueryService
+from .service import BoundQueryService, EpochBounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .tenants import TokenBucket
@@ -46,7 +46,7 @@ class _Pending:
     def __init__(
         self,
         itemsets: list[Iterable[int]],
-        future: "asyncio.Future[list[int]]",
+        future: "asyncio.Future[EpochBounds]",
     ) -> None:
         self.itemsets = itemsets
         self.future = future
@@ -104,8 +104,9 @@ class BatchScheduler:
 
     async def submit(
         self, itemsets: Sequence[Iterable[int]]
-    ) -> list[int]:
-        """Bounds for *itemsets*, admission-controlled and coalesced.
+    ) -> EpochBounds:
+        """Bounds for *itemsets*, admission-controlled and coalesced,
+        labelled with the epoch of the map that answered the batch.
 
         Raises :class:`QuotaExceeded` when the tenant's bucket cannot
         fund ``len(itemsets)`` queries right now (nothing is debited),
@@ -132,8 +133,8 @@ class BatchScheduler:
                 f"serve.tenant.{self.tenant}.queries", len(materialized)
             )
         if not materialized:
-            return []
-        future: asyncio.Future[list[int]] = (
+            return EpochBounds((), self.service.epoch)
+        future: asyncio.Future[EpochBounds] = (
             asyncio.get_running_loop().create_future()
         )
         self._queue.append(_Pending(materialized, future))
@@ -181,7 +182,9 @@ class BatchScheduler:
         for pending in batch:
             span = len(pending.itemsets)
             if not pending.future.done():
-                pending.future.set_result(bounds[offset:offset + span])
+                pending.future.set_result(
+                    EpochBounds(bounds[offset:offset + span], bounds.epoch)
+                )
             offset += span
 
     # -- introspection ---------------------------------------------------

@@ -490,16 +490,16 @@ class Gateway:
     async def _handle_bounds(self, name: str, body: bytes) -> _Response:
         """POST /v1/tenants/{t}/bounds — single or batched Equation (1)."""
         tenant = self.tenants.get(name)
-        # Captured before the query: a publish landing mid-flight must
-        # not mislabel bounds computed against the admitted map.
-        epoch = tenant.epoch
         itemsets, single = _parse_itemsets(
             body, tenant.service.ossm.n_items
         )
+        # The epoch comes back with the bounds: a publish landing while
+        # the request waits in the linger window must not pair the new
+        # map's bounds with the old map's epoch.
         bounds = await tenant.query_batch(itemsets)
         payload: dict[str, Any] = {
             "tenant": name,
-            "epoch": epoch,
+            "epoch": bounds.epoch,
         }
         if single:
             payload["bound"] = bounds[0]

@@ -50,7 +50,7 @@ from ..resilience import CircuitBreaker, get_injector
 from .cache import EpochLRUCache
 from .errors import Overloaded, QueryTimeout, ServiceClosed
 
-__all__ = ["BoundQueryService", "canonical_itemset"]
+__all__ = ["BoundQueryService", "EpochBounds", "canonical_itemset"]
 
 logger = get_logger(__name__)
 
@@ -61,6 +61,23 @@ Itemset = tuple[int, ...]
 DEFAULT_PARALLEL_THRESHOLD = 64
 
 _UNSET = object()
+
+
+class EpochBounds(list[int]):
+    """Bounds aligned with a request's itemsets, labelled with the
+    ``epoch`` of the map that answered them.
+
+    A plain ``list`` in every other respect. The label is taken in the
+    same synchronous step that reads the cache and dispatches the
+    misses, so a publish racing the request can never pair one map's
+    bounds with another map's epoch.
+    """
+
+    __slots__ = ("epoch",)
+
+    def __init__(self, bounds: Iterable[int], epoch: int) -> None:
+        super().__init__(bounds)
+        self.epoch = epoch
 
 
 def canonical_itemset(itemset: Iterable[int]) -> Itemset:
@@ -275,8 +292,9 @@ class BoundQueryService:
         itemsets: Sequence[Iterable[int]],
         *,
         timeout: Any = _UNSET,
-    ) -> list[int]:
-        """Bounds for *itemsets*, aligned with the input order.
+    ) -> EpochBounds:
+        """Bounds for *itemsets*, aligned with the input order and
+        labelled with the epoch of the map that answered them.
 
         Cache hits are answered immediately; misses coalesce with any
         identical in-flight query and the remainder is evaluated as one
@@ -320,7 +338,7 @@ class BoundQueryService:
         itemsets: Sequence[Iterable[int]],
         *,
         timeout: Any = _UNSET,
-    ) -> list[int]:
+    ) -> EpochBounds:
         wait_for = self.timeout if timeout is _UNSET else timeout
         ossm = self._ossm
         inflight = self._inflight
@@ -394,7 +412,9 @@ class BoundQueryService:
                 results[index] = value
         if metrics.enabled:
             self._flush_cache_metrics(metrics)
-        return [results[index] for index in range(len(itemsets))]
+        return EpochBounds(
+            (results[index] for index in range(len(itemsets))), ossm.epoch
+        )
 
     async def _run_batch(
         self,

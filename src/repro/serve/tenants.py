@@ -42,7 +42,7 @@ from ..resilience.faults import get_injector
 from .admission import BatchScheduler
 from .durability import TenantStore
 from .errors import InvalidRequest, UnknownTenant
-from .service import BoundQueryService
+from .service import BoundQueryService, EpochBounds
 
 __all__ = [
     "Tenant",
@@ -234,8 +234,9 @@ class Tenant:
 
     async def query_batch(
         self, itemsets: Sequence[Iterable[int]]
-    ) -> list[int]:
-        """Admission-controlled bounds, aligned with the input order."""
+    ) -> EpochBounds:
+        """Admission-controlled bounds, aligned with the input order and
+        labelled with the epoch of the map that answered them."""
         return await self.scheduler.submit(itemsets)
 
     def stats(self) -> dict[str, Any]:

@@ -75,8 +75,12 @@ class Session:
     Parameters
     ----------
     workers:
-        Default worker-process count forwarded to mining and serving
-        (None = serial).
+        Default worker count forwarded to mining and serving (None =
+        serial). Mining follows Apriori's ``workers=`` rule: counting
+        fans out over bitmap thread shards (the default engine when
+        workers are given) and any other named engine counts serially;
+        DHP's chunk passes, Partition's phase 1 and the serve pool run
+        on this many worker processes.
     page_size:
         Page granularity used when the collection is paged for
         segmentation.

@@ -1,12 +1,12 @@
 """Differential battery for the vertical bitmap engine.
 
-The bitmap engine replaces a counting path every miner, the serve
-layer and the breaker depend on, so the proof obligation is total:
+The bitmap engine is the counting path every ``workers=`` run takes,
+so the proof obligation is total:
 
 * a property (hypothesis, seeded-random fallback) that
   :class:`BitmapCounter` — serial and thread-sharded — returns
   bit-identical counts to ``SubsetCounter``/``TidsetCounter``/
-  ``HashTreeCounter``/``ParallelCounter`` on arbitrary databases;
+  ``HashTreeCounter`` on arbitrary databases;
 * the pinned :class:`SupportCounter` contract (empty candidates,
   empty database, the empty itemset, out-of-domain items, mixed
   cardinalities);
@@ -33,7 +33,7 @@ from repro.mining import (
 )
 from repro.mining.bitmap import WORD_BITS, popcount_reduce
 from repro.mining.counting import TidsetCounter
-from repro.parallel import ParallelCounter, ThreadedBitmapCounter
+from repro.parallel import ThreadedBitmapCounter
 
 from ..parallel._support import N_ITEMS, given_database
 
@@ -58,19 +58,16 @@ def test_bitmap_counts_equal_every_engine(db):
     threaded = [
         ThreadedBitmapCounter(workers=workers) for workers in (1, 2, 4)
     ]
-    process = ParallelCounter(workers=2)
     try:
         for k in (1, 2, 3):
             candidates = list(combinations(range(N_ITEMS), k))
             reference = {c: db.support(c) for c in candidates}
             for factory in SERIAL_ENGINES.values():
                 assert factory().count(db, candidates) == reference
-            assert process.count(db, candidates) == reference
             assert bitmap.count(db, candidates) == reference
             for counter in threaded:
                 assert counter.count(db, candidates) == reference
     finally:
-        process.close()
         for counter in threaded:
             counter.close()
 

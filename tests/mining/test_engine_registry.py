@@ -4,17 +4,24 @@ The registry is the single seam through which Apriori, DHP, Partition
 and the CLI select a counting engine. Two families of checks:
 
 * resolution — every registered name yields the documented class,
-  serial names compose with ``workers=`` into the sharded counter, and
-  unknown names fail with a message listing the registry;
+  ``workers=`` fans the bitmap engine out over threads and leaves the
+  other engines serial, and unknown names (``"parallel"`` included)
+  fail with a message listing the registry;
 * contract — every registry engine honors the pinned
   :class:`~repro.mining.counting.SupportCounter` empty-input contract.
 """
 
 import pytest
 
-import repro  # ensures repro.parallel registered its backend
+from repro.core.ossm import build_from_database
 from repro.data import TransactionDatabase
-from repro.mining import BitmapCounter, HashTreeCounter, SubsetCounter
+from repro.mining import (
+    Apriori,
+    BitmapCounter,
+    HashTreeCounter,
+    OSSMPruner,
+    SubsetCounter,
+)
 from repro.mining.counting import (
     ENGINE_ENV,
     TidsetCounter,
@@ -24,9 +31,7 @@ from repro.mining.counting import (
     registered_engines,
     resolve_engine,
 )
-from repro.parallel import ParallelCounter, ThreadedBitmapCounter
-
-assert repro  # imported for its registration side effect
+from repro.parallel import SupervisedPool, ThreadedBitmapCounter
 
 SERIAL_NAMES = ("subset", "tidset", "hashtree")
 
@@ -39,22 +44,18 @@ def tiny_db():
 class TestResolution:
     def test_all_engines_registered(self):
         assert set(registered_engines()) >= {
-            "subset", "tidset", "hashtree", "parallel", "bitmap",
+            "subset", "tidset", "hashtree", "bitmap",
         }
+        assert "parallel" not in registered_engines()
 
     def test_serial_names_resolve(self):
         assert isinstance(make_counter("subset"), SubsetCounter)
         assert isinstance(make_counter("tidset"), TidsetCounter)
         assert isinstance(make_counter("hashtree"), HashTreeCounter)
 
-    def test_parallel_name_resolves(self):
-        counter = make_counter("parallel", workers=2)
-        try:
-            assert isinstance(counter, ParallelCounter)
-            assert counter.engine == "tidset"   # default shard engine
-            assert counter.workers == 2
-        finally:
-            counter.close()
+    def test_parallel_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown counting engine"):
+            make_counter("parallel", workers=2)
 
     def test_bitmap_name_resolves_serial(self):
         counter = make_counter("bitmap")
@@ -75,7 +76,7 @@ class TestResolution:
     def test_resolve_engine_defaults(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         assert resolve_engine(None) == "subset"
-        assert resolve_engine(None, 4) == "parallel"
+        assert resolve_engine(None, 4) == "bitmap"
         assert resolve_engine("tidset", 4) == "tidset"
 
     def test_resolve_engine_env_override(self, monkeypatch):
@@ -85,22 +86,23 @@ class TestResolution:
         # An explicit engine beats the environment.
         assert resolve_engine("subset", 4) == "subset"
 
-    def test_serial_name_with_workers_shards(self):
-        counter = make_counter("subset", workers=2)
-        try:
-            assert isinstance(counter, ParallelCounter)
-            assert counter.engine == "subset"
-        finally:
-            counter.close()
+    def test_serial_name_with_workers_counts_serially(self):
+        assert type(make_counter("subset", workers=2)) is SubsetCounter
+        assert type(make_counter("tidset", workers=2)) is TidsetCounter
+        assert type(make_counter("hashtree", workers=2)) is HashTreeCounter
 
-    def test_segment_sizes_forwarded(self):
-        counter = make_counter(
-            "parallel", workers=2, segment_sizes=[2, 1]
-        )
-        try:
+    def test_apriori_workers_count_on_bitmap_threads(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        with Apriori(workers=2).counter as counter:
+            assert isinstance(counter, ThreadedBitmapCounter)
+            assert counter.workers == 2
+
+    def test_segment_sizes_forwarded(self, tiny_db):
+        # Apriori hands its OSSM's composition to the thread counter.
+        ossm = build_from_database(tiny_db, [0, 2, 3])
+        miner = Apriori(pruner=OSSMPruner(ossm), engine="bitmap", workers=2)
+        with miner.counter as counter:
             assert counter.segment_sizes == (2, 1)
-        finally:
-            counter.close()
 
     def test_unknown_engine_lists_registry(self):
         with pytest.raises(ValueError, match="subset"):
@@ -126,21 +128,18 @@ class TestResolution:
 
     def test_make_pool_parallel(self):
         pool = make_pool(2, 100)
-        assert pool is not None
+        assert isinstance(pool, SupervisedPool)
         with pool:
             assert pool.workers == 2
 
 
 @pytest.fixture(
     params=[
-        "subset", "tidset", "hashtree", "parallel",
-        "bitmap", "bitmap-threaded",
+        "subset", "tidset", "hashtree", "bitmap", "bitmap-threaded",
     ],
 )
 def registry_engine(request):
-    if request.param == "parallel":
-        counter = make_counter("parallel", workers=2)
-    elif request.param == "bitmap-threaded":
+    if request.param == "bitmap-threaded":
         counter = make_counter("bitmap", workers=2)
     else:
         counter = make_counter(request.param)

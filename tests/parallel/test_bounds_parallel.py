@@ -1,4 +1,4 @@
-"""Parallel OSSM construction and chunk-parallel Equation (1) bounds.
+"""Chunk-parallel Equation (1) bounds (the serve pool's evaluation).
 
 Soundness is the paper's core invariant — ``ŝup(X) >= sup(X)`` for
 every candidate — and the parallel evaluation must preserve it the
@@ -15,12 +15,7 @@ import pytest
 
 from repro.core.ossm import build_from_database
 from repro.data import TransactionDatabase
-from repro.mining import OSSMPruner
-from repro.parallel import (
-    ParallelOSSMPruner,
-    parallel_build_ossm,
-    parallel_upper_bounds,
-)
+from repro.parallel import parallel_upper_bounds
 
 from ._support import N_ITEMS, given_database, pathological_compositions
 
@@ -36,15 +31,6 @@ PAIRS = CANDIDATE_LEVELS[1]
 
 
 # -- properties over arbitrary databases and compositions ---------------
-
-
-@given_database(max_examples=6)
-def test_parallel_build_matches_serial_on_pathological_cuts(db):
-    for cuts in pathological_compositions(len(db)):
-        serial = build_from_database(db, cuts)
-        parallel = parallel_build_ossm(db, cuts, workers=2)
-        assert np.array_equal(parallel.matrix, serial.matrix)
-        assert parallel.segment_sizes == serial.segment_sizes
 
 
 @given_database(max_examples=6)
@@ -88,8 +74,6 @@ def test_skewed_composition_matches_serial(quest_db):
     cuts = [0, 1, 2, 3, n // 2, n // 2, n - 1, n]
     ossm = build_from_database(quest_db, cuts)
     for workers in (2, 3, 4):
-        built = parallel_build_ossm(quest_db, cuts, workers=workers)
-        assert np.array_equal(built.matrix, ossm.matrix)
         for candidates in CANDIDATE_LEVELS:
             assert np.array_equal(
                 parallel_upper_bounds(ossm, candidates, workers=workers),
@@ -105,42 +89,3 @@ def test_degenerate_candidate_sets(quest_db):
     assert parallel_upper_bounds(ossm, [], workers=4).shape == (0,)
     lone = parallel_upper_bounds(ossm, [(0, 1)], workers=4)
     assert np.array_equal(lone, ossm.upper_bounds([(0, 1)]))
-
-
-def test_build_validates_boundaries(quest_db):
-    with pytest.raises(ValueError, match="non-decreasing"):
-        parallel_build_ossm(quest_db, [0, 10, 5, len(quest_db)], workers=2)
-    with pytest.raises(ValueError, match="start at 0"):
-        parallel_build_ossm(quest_db, [1, len(quest_db)], workers=2)
-
-
-# -- the drop-in parallel pruner ----------------------------------------
-
-
-def test_parallel_pruner_is_a_drop_in(quest_db):
-    n = len(quest_db)
-    ossm = build_from_database(quest_db, [0, n // 3, n // 3, 2 * n // 3, n])
-    serial = OSSMPruner(ossm)
-    with ParallelOSSMPruner(ossm, workers=3) as parallel:
-        assert parallel.label == serial.label == "+ossm"
-        for candidates in CANDIDATE_LEVELS:
-            for threshold in (1, 5, 40):
-                assert parallel.prune(
-                    candidates, threshold
-                ) == serial.prune(candidates, threshold)
-            assert np.array_equal(
-                parallel.candidate_bounds(candidates),
-                serial.candidate_bounds(candidates),
-            )
-        assert parallel.prune([], 5) == []
-        assert parallel.candidate_bounds([]) is None
-
-
-def test_parallel_pruner_close_is_idempotent(quest_db):
-    ossm = build_from_database(quest_db, [0, len(quest_db)])
-    pruner = ParallelOSSMPruner(ossm, workers=2)
-    pruner.prune(PAIRS, 5)
-    pruner.close()
-    pruner.close()
-    # Usable again after close: the pool is rebuilt lazily.
-    assert pruner.prune(PAIRS, 5) == OSSMPruner(ossm).prune(PAIRS, 5)

@@ -2,10 +2,10 @@
 
 The frequent-itemset output of a seeded workload must be byte-identical
 — same JSON serialization, not merely equal sets — no matter how many
-workers count it, how the collection is sharded, or which in-shard
-engine runs. Integer per-shard counts are summed (addition commutes)
-and results are gathered in payload order, so nothing about scheduling
-can leak into the output.
+threads count it, how the packed words are sharded, or which engine is
+named alongside ``workers=``. Integer per-shard counts are summed
+(addition commutes) and results are gathered in payload order, so
+nothing about scheduling can leak into the output.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from repro.data import generate_skewed
 from repro.mining import DHP, Apriori, Partition
-from repro.parallel import ParallelCounter, ShardPlanner
+from repro.parallel import ThreadedBitmapCounter, ThreadShardPlanner
 
 
 def fingerprint(result) -> bytes:
@@ -63,8 +63,9 @@ def serial_fingerprint(workload):
 def test_apriori_output_independent_of_workers_and_shards(
     workload, serial_fingerprint, workers, n_shards
 ):
-    counter = ParallelCounter(
-        workers=workers, planner=ShardPlanner(n_shards=n_shards)
+    counter = ThreadedBitmapCounter(
+        workers=workers,
+        planner=ThreadShardPlanner(n_shards=n_shards, min_words=1),
     )
     with counter:
         result = Apriori(counter=counter, max_level=3).mine(workload, 5)
@@ -75,17 +76,16 @@ def test_apriori_output_independent_of_workers_and_shards(
 def test_apriori_output_independent_of_shard_engine(
     workload, serial_fingerprint, engine
 ):
-    counter = ParallelCounter(workers=2, engine=engine)
-    with counter:
-        result = Apriori(counter=counter, max_level=3).mine(workload, 5)
+    """A serial engine named alongside ``workers=`` counts serially."""
+    result = Apriori(max_level=3, engine=engine, workers=2).mine(workload, 5)
     assert fingerprint(result) == serial_fingerprint
 
 
 def test_repeated_runs_are_byte_identical(workload):
     prints = set()
     for _run in range(2):
-        counter = ParallelCounter(
-            workers=4, planner=ShardPlanner(n_shards=5)
+        counter = ThreadedBitmapCounter(
+            workers=4, planner=ThreadShardPlanner(n_shards=5, min_words=1)
         )
         with counter:
             result = Apriori(counter=counter, max_level=3).mine(workload, 5)
@@ -97,14 +97,11 @@ def test_repeated_runs_are_byte_identical(workload):
 def test_bitmap_output_byte_identical_across_thread_counts(
     workload, serial_fingerprint, workers
 ):
-    """The bitmap engine leaves no thread-count residue either.
+    """The bitmap engine leaves no thread-count residue.
 
-    Same invariant as the process path, one level down: per-shard
-    popcount vectors are int64 and summed in shard order, so the
-    fingerprint must equal the serial Apriori's byte for byte.
+    Per-shard popcount vectors are int64 and summed in shard order, so
+    the fingerprint must equal the serial Apriori's byte for byte.
     """
-    from repro.parallel import ThreadShardPlanner, ThreadedBitmapCounter
-
     counter = ThreadedBitmapCounter(
         workers=workers, planner=ThreadShardPlanner(min_words=1, n_shards=3)
     )

@@ -1,17 +1,22 @@
-"""Differential harness: the parallel engine must be *exactly* serial.
+"""Differential harness: every ``workers=`` path must be *exactly* serial.
 
 Three layers of evidence:
 
-* a property (hypothesis, with a seeded-random fallback) that
-  :class:`ParallelCounter` returns bit-identical counts to every serial
-  engine on arbitrary databases, for every worker count and a shard
-  count that does not divide the collection evenly;
+* a property (hypothesis, with a seeded-random fallback) that every
+  counter built for a ``workers=`` request — bitmap thread shards, and
+  the serial engines that ignore the request — returns bit-identical
+  counts to every serial engine on arbitrary databases, for every
+  worker count and a shard count that does not divide the collection
+  evenly;
 * per-miner differential runs — Apriori (plain and +OSSM), DHP and
   Partition produce the same :class:`MiningResult` per level whether
-  counting is serial or fanned out over 1/2/4 workers;
+  they run serially or with 1/2/4 workers (bitmap threads for
+  counting, worker processes for DHP's chunk passes and Partition's
+  phase 1);
 * explicit degenerate-input cases (empty candidate set, empty
   database, the empty itemset, out-of-domain items, mixed
-  cardinalities) where every counter — serial or parallel — must agree.
+  cardinalities) where every counter — serial or ``workers=`` — must
+  agree.
 """
 
 from itertools import combinations
@@ -27,15 +32,17 @@ from repro.mining import (
     Partition,
     SubsetCounter,
 )
-from repro.mining.counting import TidsetCounter
-from repro.parallel import ParallelCounter, ShardPlanner, parallel_build_ossm
+from repro.core.ossm import build_from_database
+from repro.mining.counting import TidsetCounter, make_counter
+from repro.parallel import ThreadedBitmapCounter, ThreadShardPlanner
 
 from ._support import N_ITEMS, given_database
 
 WORKER_COUNTS = (1, 2, 4)
 
-#: (workers, in-shard engine) pairs covering every engine and every
-#: worker count the issue calls for.
+#: (workers, engine) requests for the serial engines, which count
+#: serially whatever ``workers`` says; the bitmap engine's thread
+#: shards are built explicitly below so that they really split.
 WORKER_ENGINES = ((1, "subset"), (2, "tidset"), (4, "hashtree"), (2, "subset"))
 
 SERIAL_ENGINES = {
@@ -56,24 +63,33 @@ def serial_reference(db, candidates):
 @given_database(max_examples=8)
 def test_parallel_counts_equal_every_serial_engine(db):
     parallel_counters = [
-        # 3 shards over arbitrary sizes: almost never an even split.
-        ParallelCounter(
-            workers=workers, engine=engine,
-            planner=ShardPlanner(n_shards=3),
-        )
+        make_counter(engine, workers=workers)
         for workers, engine in WORKER_ENGINES
+    ] + [
+        # 3 shards over whole 64-transaction words: almost never an
+        # even split of the tiled database below.
+        ThreadedBitmapCounter(
+            workers=workers,
+            planner=ThreadShardPlanner(n_shards=3, min_words=1),
+        )
+        for workers in (2, 4)
     ]
+    # Tiled past three words so the thread shards really split it.
+    tiled = TransactionDatabase(list(db) * 7, n_items=db.n_items)
     try:
-        for k in (1, 2, 3):
-            candidates = list(combinations(range(N_ITEMS), k))
-            reference = serial_reference(db, candidates)
-            for factory in SERIAL_ENGINES.values():
-                assert factory().count(db, candidates) == reference
-            for counter in parallel_counters:
-                assert counter.count(db, candidates) == reference
+        for database in (db, tiled):
+            for k in (1, 2, 3):
+                candidates = list(combinations(range(N_ITEMS), k))
+                reference = serial_reference(database, candidates)
+                for factory in SERIAL_ENGINES.values():
+                    assert factory().count(database, candidates) == reference
+                for counter in parallel_counters:
+                    assert counter.count(database, candidates) == reference
     finally:
         for counter in parallel_counters:
-            counter.close()
+            closer = getattr(counter, "close", None)
+            if closer is not None:
+                closer()
 
 
 # -- per-miner differential runs ----------------------------------------
@@ -93,7 +109,7 @@ def workload():
 @pytest.fixture(scope="module")
 def workload_ossm(workload):
     bounds = [0, 60, 60, 150, 151, 300]  # empty + 1-txn segments included
-    return parallel_build_ossm(workload, bounds, workers=1)
+    return build_from_database(workload, bounds)
 
 
 MINSUP = 6
@@ -149,9 +165,11 @@ def all_counters():
     for name, factory in SERIAL_ENGINES.items():
         yield name, factory()
     for workers, engine in WORKER_ENGINES:
+        # The id names the request (engine + workers=), not the class
+        # the registry answers it with.
         yield (
             f"parallel-{engine}-w{workers}",
-            ParallelCounter(workers=workers, engine=engine),
+            make_counter(engine, workers=workers),
         )
 
 

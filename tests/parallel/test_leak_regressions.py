@@ -1,14 +1,12 @@
 """Shared-memory lifecycle regressions found by the resource-lifecycle pass.
 
-Four leak paths existed in the parallel plane, all on *exception*
-paths: ``publish_int64`` stranded its fresh segment if the copy into it
+Leak paths existed in the parallel plane, all on *exception* paths:
+``publish_int64`` stranded its fresh segment if the copy into it
 failed, ``attach_int64`` stranded the worker-side handle if the view
-could not be built, and both ``ParallelCounter._count`` and
-``parallel_upper_bounds`` built their payload lists in the gap between
-acquiring the segment and entering the ``try`` that unlinks it. These
-tests pin the fixed behaviour: every failure mode — including an
-injected worker-crash storm — must leave the shared-memory namespace
-empty.
+could not be built, and ``parallel_upper_bounds`` built its payload
+list in the gap between acquiring the segment and entering the ``try``
+that unlinks it. These tests pin the fixed behaviour: every failure
+mode must leave the shared-memory namespace empty.
 """
 
 from multiprocessing import shared_memory
@@ -17,11 +15,10 @@ import numpy as np
 import pytest
 
 from repro.data import generate_quest
-from repro.mining.counting import make_counter, parallel_breaker
-from repro.parallel import ParallelCounter, parallel_upper_bounds
+from repro.parallel import parallel_upper_bounds
 from repro.parallel.pool import attach_int64, publish_int64
 from repro.core.ossm import build_from_database
-from repro.resilience import FaultPlan, PoolFailure, use_faults
+from repro.resilience import PoolFailure
 
 WORKERS = 2
 
@@ -102,42 +99,6 @@ class TestAttachFailure:
         finally:
             segment.close()
             segment.unlink()
-
-
-class TestCounterFallbackCleanup:
-    def test_injected_crash_storm_unlinks_segment(self, recording_segments):
-        """Serial fallback after PoolFailure must not strand the table.
-
-        ``pool.worker_crash:times=999`` kills every attempt, so the
-        supervisor exhausts its rebuild budget and ``_count`` takes the
-        PoolFailure branch — the published candidate table has to be
-        closed *and* unlinked on that path, and the fallback counts
-        must still be exact.
-        """
-        db = generate_quest(
-            n_transactions=300, n_items=30, avg_transaction_len=6,
-            n_patterns=20, seed=13,
-        )
-        candidates = [(i,) for i in range(db.n_items)]
-        serial = make_counter("tidset").count(db, candidates)
-        plan = FaultPlan.from_spec("pool.worker_crash:times=999", seed=0)
-        breaker = parallel_breaker()
-        breaker.reset()
-        try:
-            with use_faults(plan):
-                with ParallelCounter(workers=WORKERS) as counter:
-                    counts = counter.count(db, candidates)
-        finally:
-            breaker.reset()
-        assert counts == serial
-        published = [
-            seg for seg in recording_segments if seg.test_unlinked
-        ]
-        assert published, "candidate table segment was never unlinked"
-        assert all(seg.test_closed for seg in published)
-        for seg in published:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=seg.name)
 
 
 class _FailingPool:

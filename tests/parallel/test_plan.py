@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.parallel import ShardPlan, ShardPlanner, resolve_workers
+from repro.parallel import ShardPlan, resolve_workers
 from repro.parallel.plan import WORKERS_ENV
 
 
@@ -53,68 +53,3 @@ class TestShardPlan:
     def test_must_be_sorted(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             ShardPlan((0, 5, 3))
-
-
-class TestShardPlanner:
-    def test_even_cuts_partition_the_collection(self):
-        plan = ShardPlanner().plan(10, 3)
-        assert plan.boundaries[0] == 0
-        assert plan.boundaries[-1] == 10
-        assert plan.n_shards == 3
-        assert sum(plan.sizes) == 10
-        assert all(size > 0 for size in plan.sizes)
-
-    def test_uneven_division_never_yields_empty_shards(self):
-        # 7 shards over 25 transactions: 25 % 7 != 0 on purpose.
-        plan = ShardPlanner(n_shards=7).plan(25, 2)
-        assert plan.n_shards == 7
-        assert sum(plan.sizes) == 25
-        assert all(size > 0 for size in plan.sizes)
-
-    def test_more_workers_than_transactions(self):
-        plan = ShardPlanner().plan(3, 8)
-        assert plan.n_shards == 3
-        assert plan.sizes == (1, 1, 1)
-
-    def test_empty_collection(self):
-        assert ShardPlanner().plan(0, 4) == ShardPlan((0,))
-
-    def test_shards_per_worker_multiplies_fanout(self):
-        plan = ShardPlanner(shards_per_worker=3).plan(100, 2)
-        assert plan.n_shards == 6
-
-    def test_segment_alignment_snaps_to_segment_cuts(self):
-        # Segments end at 10, 40, 100; the even 2-way cut (50) must snap
-        # to the nearest segment boundary (40).
-        plan = ShardPlanner().plan(100, 2, segment_sizes=[10, 30, 60])
-        assert plan.boundaries == (0, 40, 100)
-
-    def test_aligned_cuts_are_a_subset_of_segment_cuts(self):
-        sizes = [5, 0, 12, 1, 7, 25]
-        cuts = [0]
-        for size in sizes:
-            cuts.append(cuts[-1] + size)
-        plan = ShardPlanner().plan(sum(sizes), 4, segment_sizes=sizes)
-        assert set(plan.boundaries) <= set(cuts)
-        assert sum(plan.sizes) == sum(sizes)
-        assert all(size > 0 for size in plan.sizes)
-
-    def test_inconsistent_segment_sizes_ignored(self):
-        # A composition from some other collection must not be trusted.
-        plan = ShardPlanner().plan(10, 2, segment_sizes=[3, 3])
-        assert plan == ShardPlanner().plan(10, 2)
-
-    def test_one_giant_segment_degrades_to_single_shard(self):
-        plan = ShardPlanner().plan(50, 4, segment_sizes=[50])
-        assert plan.n_shards == 1
-        assert plan.boundaries == (0, 50)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            ShardPlanner(n_shards=0)
-        with pytest.raises(ValueError, match="shards_per_worker"):
-            ShardPlanner(shards_per_worker=0)
-        with pytest.raises(ValueError, match="n_transactions"):
-            ShardPlanner().plan(-1, 2)
-        with pytest.raises(ValueError, match="workers"):
-            ShardPlanner().plan(10, 0)

@@ -10,10 +10,15 @@ import numpy as np
 import pytest
 
 from repro.data import TransactionDatabase
-from repro.mining import Apriori
+from repro.mining import DHP
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import TraceRecorder, use_recorder
-from repro.parallel import ParallelCounter, WorkerPool
+from repro.parallel import (
+    SupervisedPool,
+    ThreadedBitmapCounter,
+    ThreadShardPlanner,
+    WorkerPool,
+)
 from repro.parallel.pool import attach_int64, publish_int64
 
 
@@ -67,49 +72,50 @@ class TestDefensiveTeardown:
             WorkerPool(0)
 
     def test_half_built_counter_has_safe_del(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ParallelCounter(workers=2, engine="bogus")
+        with pytest.raises(ValueError, match="workers"):
+            ThreadedBitmapCounter(workers=0)
 
     def test_explicit_del_after_close(self):
         pool = WorkerPool(2)
         pool.close()
         pool.__del__()          # must not raise
 
-        counter = ParallelCounter(workers=2)
-        counter.close()
-        counter.__del__()       # must not raise
+        supervised = SupervisedPool(2)
+        supervised.close()
+        supervised.__del__()    # must not raise
 
     def test_context_manager_exit_then_close(self):
-        with ParallelCounter(workers=2) as counter:
+        with SupervisedPool(2) as pool:
             pass
-        counter.close()         # idempotent after __exit__
+        pool.close()            # idempotent after __exit__
 
     def test_count_after_close_builds_fresh_pool(self):
-        db = TransactionDatabase([{0, 1}, {1, 2}], n_items=3)
-        counter = ParallelCounter(workers=2)
+        # Three one-word shards, so counting really uses the executor.
+        db = TransactionDatabase([{0, 1}, {1, 2}] * 96, n_items=3)
+        counter = ThreadedBitmapCounter(
+            workers=2, planner=ThreadShardPlanner(min_words=1)
+        )
         try:
             first = counter.count(db, [(1,)])
             counter.close()
-            assert counter.count(db, [(1,)]) == first == {(1,): 2}
+            assert counter.count(db, [(1,)]) == first == {(1,): 192}
         finally:
             counter.close()
 
     def test_sigkilled_pool_survives_interpreter_shutdown(self, tmp_path):
-        # A counter whose workers were SIGKILLed and that is never
-        # closed must not raise from __del__ during interpreter
-        # shutdown: that surfaces as "Exception ignored in:" noise on
-        # stderr and a broken exit under `python -W error`.
+        # A pool whose workers were SIGKILLed and that is never closed
+        # must not raise from __del__ during interpreter shutdown: that
+        # surfaces as "Exception ignored in:" noise on stderr and a
+        # broken exit under `python -W error`.
         script = textwrap.dedent("""
             import os, signal
-            from repro.data import TransactionDatabase
-            from repro.parallel import ParallelCounter
+            from repro.parallel import SupervisedPool
 
-            db = TransactionDatabase([{0, 1}, {1, 2}], n_items=3)
-            counter = ParallelCounter(workers=2)
-            assert counter.count(db, [(1,)]) == {(1,): 2}
-            for proc in counter._pool._pool._executor._processes.values():
+            pool = SupervisedPool(2)
+            assert pool.run(abs, [-1, -2]) == [1, 2]
+            for proc in pool._pool._executor._processes.values():
                 os.kill(proc.pid, signal.SIGKILL)
-            # No close(): the dangling counter is finalized at exit.
+            # No close(): the dangling pool is finalized at exit.
             print("OK")
         """)
         result = subprocess.run(
@@ -124,12 +130,14 @@ class TestDefensiveTeardown:
 
 
 class TestFanoutTelemetry:
+    """DHP's chunk passes on the supervised pool record one span per
+    chunk and the fan-out metrics."""
+
     def _mine(self, db):
         recorder = TraceRecorder()
         registry = MetricsRegistry()
-        counter = ParallelCounter(workers=2)
-        with use_recorder(recorder), use_registry(registry), counter:
-            Apriori(counter=counter, max_level=2).mine(db, 2)
+        with use_recorder(recorder), use_registry(registry):
+            DHP(n_buckets=64, max_level=2, workers=2).mine(db, 2)
         return recorder, registry
 
     @pytest.fixture()
@@ -148,10 +156,10 @@ class TestFanoutTelemetry:
 
         for root in recorder.roots:
             walk(root)
-        count_spans = [s for s in spans if s.name == "parallel.count"]
-        shard_spans = [s for s in spans if s.name == "parallel.count.shard"]
-        assert count_spans, "no parallel.count span recorded"
-        assert len(shard_spans) >= 2  # one per shard, >= 2 shards
+        shard_spans = [
+            s for s in spans if s.name == "parallel.dhp_count.shard"
+        ]
+        assert len(shard_spans) >= 2  # one per chunk, >= 2 chunks
         for span in shard_spans:
             assert {"shard", "transactions"} <= set(span.metadata)
 
@@ -159,9 +167,9 @@ class TestFanoutTelemetry:
         _recorder, registry = run
         snapshot = registry.snapshot()
         counters = snapshot["counters"]
-        assert counters["parallel.count.fanouts"] >= 1
-        assert counters["parallel.count.shards"] >= 2
+        assert counters["parallel.dhp_pass1.fanouts"] == 1
+        assert counters["parallel.dhp_count.fanouts"] >= 1
+        assert counters["parallel.dhp_count.shards"] >= 2
         timers = snapshot["timers"]
-        assert timers["parallel.count.shard_seconds"]["count"] >= 2
-        assert "parallel.count.fanout_overhead_seconds" in timers
-        assert timers["counting.parallel_seconds"]["count"] >= 1
+        assert timers["parallel.dhp_count.shard_seconds"]["count"] >= 2
+        assert "parallel.dhp_count.fanout_overhead_seconds" in timers

@@ -3,24 +3,27 @@
 The export plane's exactness claim: mining with ``workers=N`` and an
 active registry yields the same merged counters and histogram totals
 as ``workers=1`` — worker-side instrument updates ride back with each
-shard result and fold into the parent registry, exactly once, with
-engine-*selection* decisions (``resilience.engine.*``) reported only
-by the process that made them.
+task result and fold into the parent registry, exactly once. The
+vehicles are the process pools that remain: Partition's phase-1 pool
+(a plain :class:`WorkerPool` running the local Apriori passes, whose
+``apriori.*`` counters are recorded inside the workers) and DHP's
+:class:`SupervisedPool` (whose harvest must also survive a crash
+retry).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.data import TransactionDatabase, generate_quest
-from repro.mining.apriori import Apriori
-from repro.mining.counting import parallel_breaker
+from repro.data import generate_quest
+from repro.mining import DHP, Partition
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
-from repro.parallel.counter import ParallelCounter
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import SupervisedPool, WorkerPool
+from repro.resilience import Backoff, FaultPlan, use_faults
 
-#: Counters legitimately dependent on the fan-out width.
-FANOUT_DEPENDENT = {"parallel.count.shards"}
+#: Metric prefix of the fan-out bookkeeping, which only a run that
+#: fanned out records.
+FANOUT_PREFIX = "parallel."
 
 
 @pytest.fixture()
@@ -30,71 +33,97 @@ def db():
     )
 
 
-def _mine_with_workers(db, workers: int) -> dict:
+def _snapshot(miner, db) -> dict:
     registry = MetricsRegistry()
-    # Engine pinned: this file proves the *process pool's* delta
-    # transport, so it must not be rerouted by a REPRO_ENGINE override
-    # (the bitmap CI leg) onto the thread path, which has no worker
-    # processes to ship deltas from.
     with use_registry(registry):
-        result = Apriori(
-            workers=workers, engine="tidset", max_level=3
-        ).mine(db, 0.02)
+        result = miner.mine(db, 0.02)
     return {"result": result, "snapshot": registry.snapshot()}
 
 
+def _width_independent(snapshot: dict) -> dict:
+    """Counters, timer counts and histogram totals, minus fan-out
+    bookkeeping: everything that must not depend on the worker count."""
+    return {
+        "counters": {
+            name: value
+            for name, value in snapshot["counters"].items()
+            if not name.startswith(FANOUT_PREFIX)
+        },
+        "timers": {
+            name: timer["count"]
+            for name, timer in snapshot["timers"].items()
+            if not name.startswith(FANOUT_PREFIX)
+        },
+        "histograms": {
+            name: {k: v for k, v in hist.items() if k not in ("min", "max")}
+            for name, hist in snapshot["histograms"].items()
+        },
+    }
+
+
+def _partition(workers: int) -> Partition:
+    # Engine pinned: phase 2 then counts serially at every width, so
+    # only phase 1 (the process pool under test) differs.
+    return Partition(
+        n_partitions=4, auto_ossm=2, engine="tidset", max_level=3,
+        workers=workers,
+    )
+
+
 def test_differential_telemetry_across_worker_counts(db):
-    """workers=4 and workers=1 agree on every width-independent metric."""
-    wide = _mine_with_workers(db, workers=4)
-    narrow = _mine_with_workers(db, workers=1)
+    """Partition with workers=4 and workers=1 agree on every
+    width-independent metric."""
+    wide = _snapshot(_partition(4), db)
+    narrow = _snapshot(_partition(1), db)
     assert wide["result"].frequent == narrow["result"].frequent
+    assert _width_independent(wide["snapshot"]) == _width_independent(
+        narrow["snapshot"]
+    )
+    # The worker-side proof: phase 1 really ran in four worker
+    # processes, and the local Apriori counters recorded there reached
+    # the parent exactly once.
+    counters = wide["snapshot"]["counters"]
+    assert counters["parallel.partition_local.shards"] == 4
+    assert counters["apriori.candidates_counted"] > 0
 
-    wide_counters = {
-        name: value
-        for name, value in wide["snapshot"]["counters"].items()
-        if name not in FANOUT_DEPENDENT
-    }
-    narrow_counters = {
-        name: value
-        for name, value in narrow["snapshot"]["counters"].items()
-        if name not in FANOUT_DEPENDENT
-    }
-    assert wide_counters == narrow_counters
 
-    # Histogram totals (counts, sums) are width-independent too.
-    wide_hists = {
-        name: {k: v for k, v in hist.items() if k != "min" and k != "max"}
-        for name, hist in wide["snapshot"]["histograms"].items()
-    }
-    narrow_hists = {
-        name: {k: v for k, v in hist.items() if k != "min" and k != "max"}
-        for name, hist in narrow["snapshot"]["histograms"].items()
-    }
-    assert wide_hists == narrow_hists
-
-    # And the worker-side proof: the per-shard counting timer only
-    # exists in the parent snapshot because deltas crossed processes.
-    timer = wide["snapshot"]["timers"].get("counting.tidset_seconds")
-    assert timer is not None and timer["count"] > 0
+def test_dhp_telemetry_independent_of_workers(db):
+    """DHP's chunk passes leave no trace of the fan-out width."""
+    wide = _snapshot(DHP(n_buckets=64, max_level=3, workers=2), db)
+    narrow = _snapshot(DHP(n_buckets=64, max_level=3, workers=1), db)
+    assert wide["result"].frequent == narrow["result"].frequent
+    assert _width_independent(wide["snapshot"]) == _width_independent(
+        narrow["snapshot"]
+    )
+    assert wide["snapshot"]["counters"]["parallel.dhp_count.shards"] >= 2
 
 
 def _inc_worker_counters(tag: str) -> str:
-    registry = get_registry()
-    registry.inc("worker.tasks")
-    registry.inc("resilience.engine.degraded")  # parent-only: filtered
+    get_registry().inc("worker.tasks")
     return tag
 
 
-def test_worker_deltas_merge_and_parent_only_counters_drop():
+def test_worker_deltas_merge():
     registry = MetricsRegistry()
     with use_registry(registry):
         with WorkerPool(2) as pool:
             results = pool.run(_inc_worker_counters, ["a", "b", "c"])
     assert results == ["a", "b", "c"]
     assert registry.counter("worker.tasks").value == 3
-    # An inherited open breaker in a forked worker would re-report the
-    # parent's engine decision; the harvest filter drops the prefix.
-    assert "resilience.engine.degraded" not in registry.snapshot()["counters"]
+
+
+def test_supervised_harvest_survives_a_crash_retry():
+    """DHP's pool type: a batch re-run after a worker crash ships its
+    worker deltas once, from the attempt that completed."""
+    plan = FaultPlan.from_spec("pool.worker_crash:times=1", seed=0)
+    registry = MetricsRegistry()
+    backoff = Backoff(base=0.01, factor=1.0, max_delay=0.01, jitter=0.0)
+    with use_faults(plan), use_registry(registry):
+        with SupervisedPool(2, backoff=backoff) as pool:
+            results = pool.run(_inc_worker_counters, ["a", "b", "c"])
+    assert results == ["a", "b", "c"]
+    assert registry.counter("resilience.pool.crashes").value == 1
+    assert registry.counter("worker.tasks").value == 3
 
 
 def _idle(tag: str) -> str:
@@ -117,46 +146,3 @@ def test_snapshot_reset_prevents_double_counting():
             pool.run(_inc_worker_counters, ["a"])
             pool.run(_inc_worker_counters, ["b"])
     assert registry.counter("worker.tasks").value == 2
-
-
-def test_degraded_transition_counted_exactly_once(db):
-    """An open breaker degrades every count call of a mining run; the
-    engine-selection counter records the *transition*, not each call."""
-    candidates = [(i,) for i in range(db.n_items)]
-    registry = MetricsRegistry()
-    breaker = parallel_breaker()
-    breaker.reset()
-    try:
-        counter = ParallelCounter(workers=2)
-        while not breaker.is_open:
-            breaker.record_failure()
-        with use_registry(registry):
-            first = counter.count(db, candidates)
-            second = counter.count(db, candidates)
-        assert first == second
-        assert registry.counter("resilience.engine.degraded").value == 1
-    finally:
-        breaker.reset()
-
-
-def test_degraded_recount_after_recovery(db):
-    """Recovery closes the transition window: degrade, recover, degrade
-    again → two recorded decisions."""
-    candidates = [(i,) for i in range(db.n_items)]
-    registry = MetricsRegistry()
-    breaker = parallel_breaker()
-    breaker.reset()
-    try:
-        with use_registry(registry):
-            with ParallelCounter(workers=2) as counter:
-                while not breaker.is_open:
-                    breaker.record_failure()
-                counter.count(db, candidates)       # degraded: 1
-                breaker.reset()
-                counter.count(db, candidates)       # healthy again
-                while not breaker.is_open:
-                    breaker.record_failure()
-                counter.count(db, candidates)       # degraded: 2
-        assert registry.counter("resilience.engine.degraded").value == 2
-    finally:
-        breaker.reset()

@@ -80,7 +80,7 @@ def test_dhp_options_never_change_output(txns, threshold):
             assert miner.mine(db, threshold).frequent == expected
 
 
-# -- engine axis: serial vs bitmap, per level ----------------------------
+# -- engine axis: every registry engine, per level ----------------------
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,9 @@ def engine_serial_results(engine_workload):
 
 
 @pytest.mark.parametrize("workers", (None, 1, 2, 4))
-@pytest.mark.parametrize("engine", ("subset", "bitmap"))
+@pytest.mark.parametrize(
+    "engine", ("subset", "bitmap", "tidset", "hashtree")
+)
 @pytest.mark.parametrize("kind", ("apriori", "partition"))
 def test_miners_identical_across_engines_and_workers(
     kind, engine, workers, engine_workload, engine_serial_results

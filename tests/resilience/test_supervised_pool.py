@@ -1,11 +1,10 @@
-"""Pool supervision: crash rebuilds, hang detection, circuit breaking."""
+"""Pool supervision: crash rebuilds, hang detection, rebuild budgets."""
 
 import pytest
 
 from repro.data import generate_quest
-from repro.mining.counting import make_counter, parallel_breaker
+from repro.mining import DHP
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.parallel import ParallelCounter
 from repro.parallel.pool import SupervisedPool
 from repro.resilience import Backoff, FaultPlan, PoolFailure, use_faults
 
@@ -18,14 +17,6 @@ def _double(x):
 
 def _fast_backoff():
     return Backoff(base=0.01, factor=1.0, max_delay=0.01, jitter=0.0)
-
-
-@pytest.fixture
-def db():
-    return generate_quest(
-        n_transactions=400, n_items=40, avg_transaction_len=8,
-        n_patterns=30, seed=11,
-    )
 
 
 class TestSupervisedPool:
@@ -83,59 +74,21 @@ class TestSupervisedPool:
             pool.run(_double, [1])
 
 
-class TestParallelCounterDegradation:
-    def test_pool_failure_falls_back_to_exact_serial(self, db):
-        candidates = [(i,) for i in range(db.n_items)]
-        serial = make_counter("tidset").count(db, candidates)
-        plan = FaultPlan.from_spec("pool.worker_crash:times=999", seed=0)
+class TestDHPUnderCrash:
+    def test_injected_crash_is_absorbed_exactly(self):
+        """DHP's chunk passes ride a supervised pool: one worker crash
+        costs a rebuild, never a wrong or missing count."""
+        db = generate_quest(
+            n_transactions=400, n_items=40, avg_transaction_len=8,
+            n_patterns=30, seed=11,
+        )
+        serial = DHP(n_buckets=64, max_level=3).mine(db, 0.02)
+        plan = FaultPlan.from_spec("pool.worker_crash:times=1", seed=0)
         registry = MetricsRegistry()
-        breaker = parallel_breaker()
-        breaker.reset()
-        try:
-            with use_faults(plan), use_registry(registry):
-                with ParallelCounter(workers=WORKERS) as counter:
-                    counts = counter.count(db, candidates)
-            assert counts == serial
-            assert (
-                registry.counter("resilience.engine.fallbacks").snapshot()
-                == 1
+        with use_faults(plan), use_registry(registry):
+            result = DHP(n_buckets=64, max_level=3, workers=WORKERS).mine(
+                db, 0.02
             )
-            assert breaker.consecutive_failures == 1
-        finally:
-            breaker.reset()
-
-    def test_open_breaker_degrades_counter_selection(self, db):
-        candidates = [(i,) for i in range(db.n_items)]
-        serial = make_counter("tidset").count(db, candidates)
-        registry = MetricsRegistry()
-        breaker = parallel_breaker()
-        try:
-            while not breaker.is_open:
-                breaker.record_failure()
-            with use_registry(registry):
-                counter = make_counter("parallel", workers=WORKERS)
-                assert not isinstance(counter, ParallelCounter)
-                assert counter.count(db, candidates) == serial
-            assert (
-                registry.counter("resilience.engine.degraded").snapshot() == 1
-            )
-        finally:
-            breaker.reset()
-
-    def test_counter_skips_pool_while_breaker_open(self, db):
-        # An already-constructed ParallelCounter also honours the open
-        # breaker: counts stay exact without touching worker processes.
-        candidates = [(i,) for i in range(db.n_items)]
-        serial = make_counter("tidset").count(db, candidates)
-        breaker = parallel_breaker()
-        try:
-            counter = ParallelCounter(workers=WORKERS)
-            while not breaker.is_open:
-                breaker.record_failure()
-            assert counter.count(db, candidates) == serial
-            assert counter._pool is None, (
-                "no pool should be built while the breaker is open"
-            )
-            counter.close()
-        finally:
-            breaker.reset()
+        assert result.frequent == serial.frequent
+        assert result.levels == serial.levels
+        assert registry.counter("resilience.pool.crashes").snapshot() == 1

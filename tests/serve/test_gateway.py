@@ -10,6 +10,7 @@ nothing).
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import OSSM, extend_ossm
@@ -309,6 +310,53 @@ class TestEpochBumpDuringBatch:
 
         with use_faults(plan):
             run(main())
+
+
+    def test_publish_in_linger_window_labels_the_answering_epoch(
+        self, ossm, tmp_path
+    ):
+        """A PUT landing while a bounds request waits in the admission
+        linger window: the response reports the epoch of the map that
+        answered it, so bound and epoch always belong together."""
+        other = OSSM(np.asarray(ossm.matrix) * 3)
+        other_path = tmp_path / "other.npz"
+        other.save(other_path)
+        other_blob = other_path.read_bytes()
+        itemset = [1, 2]
+        maps = {0: ossm, 1: other}
+        assert other.upper_bound(tuple(itemset)) != ossm.upper_bound(
+            tuple(itemset)
+        )
+
+        async def main():
+            # A long linger holds the request open across the PUT.
+            tenants = TenantRegistry(linger=0.5)
+            try:
+                async with Gateway(tenants) as gateway:
+                    tenants.create("acme", ossm)
+                    inflight = asyncio.create_task(
+                        post_json(
+                            gateway, "/v1/tenants/acme/bounds",
+                            {"itemset": itemset},
+                        )
+                    )
+                    await asyncio.sleep(0.1)  # request is lingering
+                    status, _, body = await http(
+                        gateway, "PUT", "/v1/tenants/acme/ossm", other_blob
+                    )
+                    assert status == 200
+                    assert json.loads(body)["epoch"] == 1
+                    status, _, body = await inflight
+                    assert status == 200
+                    payload = json.loads(body)
+                    assert payload["bound"] == maps[
+                        payload["epoch"]
+                    ].upper_bound(tuple(itemset))
+                    assert payload["epoch"] == 1
+            finally:
+                await tenants.aclose()
+
+        run(main())
 
 
 class TestStatsAndOps:

@@ -245,6 +245,35 @@ class TestPublish:
         asyncio.run(main())
 
 
+    def test_publish_in_linger_window_labels_the_answering_epoch(
+        self, ossm
+    ):
+        """A publish landing while a request waits in the admission
+        linger window: the request is answered from the new map, so it
+        must carry the new map's epoch, never the old one's."""
+        import numpy as np
+
+        from repro.core import OSSM
+
+        other = OSSM(np.asarray(ossm.matrix) * 3)
+        itemset = (1, 2)
+        assert other.upper_bound(itemset) != ossm.upper_bound(itemset)
+
+        async def main():
+            async with TenantRegistry() as tenants:
+                tenant = tenants.create("acme", ossm)
+                assert tenant.epoch == 0
+                task = asyncio.create_task(tenant.query_batch([itemset]))
+                await asyncio.sleep(0)  # queued in the linger window
+                assert tenants.publish("acme", other) == 1
+                bounds = await task
+                maps = {0: ossm, 1: other}
+                assert bounds == [maps[bounds.epoch].upper_bound(itemset)]
+                assert bounds.epoch == 1
+
+        asyncio.run(main())
+
+
 @settings(
     max_examples=12, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],

@@ -57,8 +57,8 @@ def test_key_symbols_reachable_from_top_level():
         "partition_mine", "depth_project", "gsp",
         "mine_parallel_episodes", "mine_serial_episodes",
         "OSSMPruner", "generate_rules", "recommend",
-        "ParallelCounter", "ParallelOSSMPruner", "parallel_build_ossm",
-        "ShardPlanner", "Session", "make_counter", "registered_engines",
+        "parallel_upper_bounds", "Session", "make_counter",
+        "registered_engines",
         "BitmapCounter", "ThreadedBitmapCounter", "ThreadShardPlanner",
         "BoundQueryService", "EpochLRUCache", "Overloaded",
         "QueryTimeout", "ServiceClosed",
