@@ -26,6 +26,7 @@ import numpy as np
 from ..data.pages import PagedDatabase
 from ..data.transactions import TransactionDatabase
 from ..resilience import CorruptArtifact, atomic_savez, verified_load_npz
+from .itemset_table import as_array, select
 
 __all__ = ["OSSM", "build_from_pages", "build_from_database"]
 
@@ -33,6 +34,11 @@ __all__ = ["OSSM", "build_from_pages", "build_from_database"]
 #: paper's sizes (0.2 MB at 100 segments x 1000 items) correspond to
 #: 2-byte cells.
 NOMINAL_CELL_BYTES = 2
+
+#: Cells (candidates x segments) gathered per block of the k >= 3
+#: bound reduction: 512 KB keeps the running minimum in cache, which
+#: measured 3x faster than 8 MB blocks on a 40k-candidate level.
+_BOUND_BLOCK_CELLS = 1 << 16
 
 
 class OSSM:
@@ -77,6 +83,8 @@ class OSSM:
                 raise ValueError("segment supports must be integral")
         self._matrix = matrix.astype(np.int64, copy=True)
         self._matrix.setflags(write=False)
+        # Item-major copy of the matrix for k >= 3 bounds, built lazily.
+        self._by_item: np.ndarray | None = None
         if segment_sizes is not None:
             sizes = tuple(int(s) for s in segment_sizes)
             if len(sizes) != self._matrix.shape[0]:
@@ -186,26 +194,41 @@ class OSSM:
             if self._sizes is not None:
                 return int(sum(self._sizes))
             return int(self._matrix.max(axis=1).sum()) if self.n_items else 0
-        columns = self._matrix[:, items]
+        columns = self._matrix[:, as_array((items,), self.n_items)[0]]
         return int(columns.min(axis=1).sum())
 
-    def upper_bounds(self, itemsets: Sequence[Sequence[int]]) -> np.ndarray:
+    def upper_bounds(
+        self, itemsets: Sequence[Sequence[int]] | np.ndarray
+    ) -> np.ndarray:
         """Vectorized Equation (1) bounds for many same-size itemsets.
 
         All itemsets must have the same cardinality (the common case:
-        one Apriori level). Returns an int64 vector aligned with
+        one Apriori level), and every item id must lie in
+        ``range(n_items)``. Returns an int64 vector aligned with
         *itemsets*.
         """
-        if not len(itemsets):
+        candidates = as_array(itemsets, self.n_items)
+        n, k = candidates.shape
+        if not n:
             return np.zeros(0, dtype=np.int64)
-        candidates = np.asarray(itemsets, dtype=np.int64)
-        if candidates.ndim != 2:
-            raise ValueError("itemsets must all have the same cardinality")
-        if candidates.shape[1] == 2:
+        if k == 2:
             return self._pair_bounds(candidates)
-        # (n_segments, n_candidates, k) -> min over k -> sum over segments
-        per_segment = self._matrix[:, candidates].min(axis=2)
-        return per_segment.sum(axis=0).astype(np.int64)
+        if not k:
+            return np.full(n, self.upper_bound(()), dtype=np.int64)
+        # Item-major rows are contiguous per item, so each gather reads
+        # whole rows; the min runs in place over one block at a time.
+        by_item = self._by_item
+        if by_item is None:
+            by_item = self._by_item = np.ascontiguousarray(self._matrix.T)
+        block = max(1, _BOUND_BLOCK_CELLS // max(1, self.n_segments))
+        bounds = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, block):
+            rows = candidates[lo:lo + block]
+            acc = by_item[rows[:, 0]]
+            for j in range(1, k):
+                np.minimum(acc, by_item[rows[:, j]], out=acc)
+            acc.sum(axis=1, out=bounds[lo:lo + len(rows)])
+        return bounds
 
     def _pair_bounds(self, pairs: np.ndarray) -> np.ndarray:
         """Fast path for 2-itemsets — Apriori's dominant level.
@@ -239,20 +262,18 @@ class OSSM:
         return (supports[a] + supports[b] - gathered) // 2
 
     def prune(
-        self, itemsets: Sequence[Sequence[int]], min_support: int
-    ) -> tuple[list, np.ndarray]:
+        self, itemsets: Sequence[tuple[int, ...]], min_support: int
+    ) -> tuple[Sequence[tuple[int, ...]], np.ndarray]:
         """Split candidates into survivors and a keep-mask by bound.
 
         Returns ``(survivors, mask)`` where ``mask[i]`` is True iff the
         Equation (1) bound of ``itemsets[i]`` reaches *min_support* —
-        i.e. the candidate still needs real frequency counting.
+        i.e. the candidate still needs real frequency counting. An
+        :class:`~repro.core.itemset_table.ItemsetTable` yields a table
+        of its surviving rows; any other sequence yields a list.
         """
-        bounds = self.upper_bounds(itemsets)
-        mask = bounds >= int(min_support)
-        survivors = [
-            itemset for itemset, keep in zip(itemsets, mask) if keep
-        ]
-        return survivors, mask
+        mask = self.upper_bounds(itemsets) >= int(min_support)
+        return select(itemsets, mask), mask
 
     # -- reshaping -----------------------------------------------------------
 

@@ -10,6 +10,7 @@ hashing, prefix joins, and subset tests cheap and deterministic.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -88,6 +89,9 @@ class TransactionDatabase:
     inputs but may segment differently — exactly the phenomenon the
     paper studies.
 
+    A database is immutable after construction, which is what lets
+    :meth:`item_supports` cache the flat array of all its items.
+
     Parameters
     ----------
     transactions:
@@ -121,6 +125,7 @@ class TransactionDatabase:
             )
         self._n_items = int(n_items)
         self.vocabulary = vocabulary
+        self._flat: np.ndarray | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -196,10 +201,13 @@ class TransactionDatabase:
         Returns an ``int64`` vector of length ``n_items``; entry ``x`` is
         the number of transactions containing item ``x``.
         """
-        supports = np.zeros(self._n_items, dtype=np.int64)
-        for txn in self._transactions:
-            supports[list(txn)] += 1
-        return supports
+        if self._flat is None:
+            flat = np.fromiter(
+                chain.from_iterable(self._transactions), dtype=np.int64
+            )
+            flat.setflags(write=False)
+            self._flat = flat
+        return np.bincount(self._flat, minlength=self._n_items)
 
     def support(self, itemset: Iterable[int]) -> int:
         """Exact support of *itemset* (number of containing transactions)."""

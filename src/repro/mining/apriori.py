@@ -167,12 +167,14 @@ class Apriori:
             ):
                 with trace("apriori.level", level=k):
                     level_crash_point()
-                    candidates = apriori_gen(frequent_prev)
+                    with metrics.time("apriori.gen_seconds"):
+                        candidates = apriori_gen(frequent_prev)
                     stats = result.level(k)
                     stats.candidates_generated = len(candidates)
                     if not candidates:
                         break
-                    survivors = self.pruner.prune(candidates, threshold)
+                    with metrics.time("apriori.bound_seconds"):
+                        survivors = self.pruner.prune(candidates, threshold)
                     stats.candidates_pruned = (
                         len(candidates) - len(survivors)
                     )

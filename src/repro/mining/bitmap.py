@@ -41,6 +41,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from ..core.itemset_table import as_array, domain_mask
 from ..core.ossm import OSSM
 from ..data.transactions import TransactionDatabase
 from ..obs.metrics import get_registry
@@ -259,47 +260,35 @@ class BitmapCounter(SupportCounter):
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
     ) -> dict[Itemset, int]:
-        counts: dict[Itemset, int] = {
-            candidate: 0 for candidate in candidates
-        }
-        if not counts:
-            return counts
-        k = len(candidates[0])
-        if any(len(candidate) != k for candidate in candidates):
-            raise ValueError("candidates must share one cardinality")
+        if not len(candidates):
+            return {}
+        table = as_array(candidates)
         if not isinstance(database, TransactionDatabase):
             database = TransactionDatabase(database)
         n_transactions = len(database)
-        if k == 0:
+        if not table.shape[1]:
             # The empty itemset is contained in every transaction.
-            for candidate in counts:
-                counts[candidate] = n_transactions
-            return counts
-        if n_transactions == 0:
-            return counts
-        packed = self._pack(database)
-        ordered = list(counts)
-        n_items = packed.n_items
-        in_domain = [
-            candidate
-            for candidate in ordered
-            if all(0 <= item < n_items for item in candidate)
-        ]
-        # Out-of-domain items occur in no transaction: those candidates
-        # keep their initialized 0 without touching the matrix.
-        if not in_domain:
-            return counts
-        table = np.asarray(in_domain, dtype=np.int64)
-        with trace(
-            "bitmap.count",
-            candidates=len(in_domain),
-            k=k,
-            words=packed.n_words,
-        ):
-            supports = self._candidate_counts(packed, table)
-        for candidate, support in zip(in_domain, supports):
-            counts[candidate] = int(support)
-        return counts
+            return dict.fromkeys(candidates, n_transactions)
+        supports = np.zeros(len(table), dtype=np.int64)
+        if n_transactions:
+            packed = self._pack(database)
+            # Out-of-domain items occur in no transaction: those
+            # candidates keep their 0 without touching the matrix.
+            inside = domain_mask(table, packed.n_items)
+            counted = table if inside is None else table[inside]
+            if len(counted):
+                with trace(
+                    "bitmap.count",
+                    candidates=len(counted),
+                    k=table.shape[1],
+                    words=packed.n_words,
+                ):
+                    found = self._candidate_counts(packed, counted)
+                if inside is None:
+                    supports = found
+                else:
+                    supports[inside] = found
+        return dict(zip(candidates, supports.tolist()))
 
     def _candidate_counts(
         self, packed: PackedBitmap, table: np.ndarray
@@ -328,10 +317,10 @@ class BitmapCounter(SupportCounter):
         if not isinstance(database, TransactionDatabase):
             database = TransactionDatabase(database)
         packed = self._pack(database)
-        if not candidates:
+        if not len(candidates):
             return np.zeros((packed.n_segments, 0), dtype=np.int64)
-        table = np.asarray(candidates, dtype=np.int64)
-        if table.ndim != 2 or table.shape[1] == 0:
+        table = as_array(candidates)
+        if table.shape[1] == 0:
             raise ValueError("candidates must share one cardinality k >= 1")
         if table.min() < 0 or table.max() >= packed.n_items:
             raise ValueError("count_segments requires in-domain candidates")

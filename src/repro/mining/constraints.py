@@ -186,7 +186,7 @@ class _ChainedPruner(CandidatePruner):
 
     def prune(
         self, candidates: Sequence[Itemset], min_support: int
-    ) -> list[Itemset]:
+    ) -> Sequence[Itemset]:
         survivors = self.constraints.prune(candidates, min_support)
         if not survivors:
             return []

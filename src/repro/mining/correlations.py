@@ -182,12 +182,11 @@ class CorrelationMiner:
         frontier = frequent_items
         level = 2
         while frontier and level <= self.max_level:
-            raw = apriori_gen(frontier)
             # Upward closure: a candidate containing an already-minimal
             # correlated subset is not minimal; skip it entirely.
             raw = [
                 candidate
-                for candidate in raw
+                for candidate in apriori_gen(frontier)
                 if not any(
                     set(found).issubset(candidate) for found in correlated
                 )

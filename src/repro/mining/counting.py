@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from ..core.itemset_table import as_array, domain_mask, lexsort_rows
 from ..data.transactions import TransactionDatabase
 from ..obs.metrics import get_registry
 
@@ -120,25 +121,41 @@ class SubsetCounter(SupportCounter):
 
 
 class TidsetCounter(SupportCounter):
-    """Vertical counting: per-candidate tidset intersection.
+    """Vertical counting: tidset intersection per shared prefix.
 
     Work is directly proportional to the number of candidates — the
     property the paper's hash-tree C implementation has and that the
     speedup experiments rely on (pruned candidates cost literally
     nothing). This is also how the original Partition algorithm counts.
-    Tidsets are cached per database object, so Apriori's level loop
-    pays the verticalization once.
+    Candidates sharing a ``(k−1)``-prefix are counted together: the
+    prefix tidset is marked once in a transaction vector, and each
+    candidate's support is the number of marks its last item's tidset
+    hits. Tidsets are cached per database object, so Apriori's level
+    loop pays the verticalization once; the cache pins a strong
+    reference to the database, so a recycled ``id`` can never alias a
+    stale layout.
     """
 
     def __init__(self) -> None:
-        self._cache_key: int | None = None
-        self._tidsets: list[np.ndarray] | None = None
+        self._database: TransactionDatabase | None = None
+        self._tidsets: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _vertical(self, database: TransactionDatabase) -> list[np.ndarray]:
-        if self._cache_key != id(database) or self._tidsets is None:
-            self._tidsets = database.vertical()
-            self._cache_key = id(database)
-        return self._tidsets
+    def _vertical(
+        self, database: TransactionDatabase
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """All tidsets concatenated item by item, and their offsets."""
+        tidsets = self._tidsets
+        if tidsets is None or database is not self._database:
+            vertical = database.vertical()
+            offsets = np.zeros(database.n_items + 1, dtype=np.int64)
+            np.cumsum([len(tids) for tids in vertical], out=offsets[1:])
+            flat = (
+                np.concatenate(vertical) if vertical
+                else np.zeros(0, dtype=np.int64)
+            )
+            tidsets = self._tidsets = (flat, offsets)
+            self._database = database
+        return tidsets
 
     def count(
         self,
@@ -155,32 +172,83 @@ class TidsetCounter(SupportCounter):
     ) -> dict[Itemset, int]:
         if not isinstance(database, TransactionDatabase):
             database = TransactionDatabase(database)
-        counts: dict[Itemset, int] = {}
-        if not candidates:
-            return counts
-        k = len(candidates[0])
-        if any(len(candidate) != k for candidate in candidates):
-            raise ValueError("candidates must share one cardinality")
-        if k == 0:
+        if not len(candidates):
+            return {}
+        table = as_array(candidates)
+        if not table.shape[1]:
             # The empty itemset is contained in every transaction.
-            return {candidate: len(database) for candidate in candidates}
-        tidsets = self._vertical(database)
-        n_items = len(tidsets)
-        intersect1d = np.intersect1d  # hot loop: bind the lookup once
-        for candidate in candidates:
-            if any(item < 0 or item >= n_items for item in candidate):
-                # Out-of-domain items occur in no transaction.
-                counts[candidate] = 0
-                continue
-            # Intersect rarest-first so the running set shrinks fastest.
-            ordered = sorted(candidate, key=lambda item: len(tidsets[item]))
-            tids = tidsets[ordered[0]]
-            for item in ordered[1:]:
-                if len(tids) == 0:
-                    break
-                tids = intersect1d(tids, tidsets[item], assume_unique=True)
-            counts[candidate] = int(len(tids))
-        return counts
+            return dict.fromkeys(candidates, len(database))
+        flat, offsets = self._vertical(database)
+        # Out-of-domain items occur in no transaction: those candidates
+        # count 0 without touching a tidset.
+        inside = domain_mask(table, database.n_items)
+        if inside is None:
+            supports = _prefix_counts(flat, offsets, table, len(database))
+        else:
+            supports = np.zeros(len(table), dtype=np.int64)
+            supports[inside] = _prefix_counts(
+                flat, offsets, table[inside], len(database)
+            )
+        return dict(zip(candidates, supports.tolist()))
+
+
+def _prefix_counts(
+    flat: np.ndarray, offsets: np.ndarray, table: np.ndarray,
+    n_transactions: int,
+) -> np.ndarray:
+    """Exact supports of an in-domain ``(n, k)`` candidate table.
+
+    Item ``x``'s tidset is ``flat[offsets[x]:offsets[x + 1]]``.
+    """
+    sizes = np.diff(offsets)
+    if table.shape[1] == 1:
+        return sizes[table[:, 0]]
+    order = lexsort_rows(table)
+    rows = table if order is None else table[order]
+    new_prefix = np.ones(len(rows), dtype=bool)
+    new_prefix[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    starts = np.flatnonzero(new_prefix)
+    ends = np.append(starts[1:], len(rows))
+    supports = np.zeros(len(rows), dtype=np.int64)
+    marks = np.zeros(n_transactions, dtype=np.int8)
+    intersect1d = np.intersect1d  # hot loop: bind the lookup once
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        # Intersect the prefix rarest-first so the running set shrinks
+        # fastest.
+        prefix = sorted(rows[lo, :-1].tolist(), key=sizes.__getitem__)
+        tids = flat[offsets[prefix[0]]:offsets[prefix[0] + 1]]
+        for item in prefix[1:]:
+            if not len(tids):
+                break
+            tids = intersect1d(
+                tids, flat[offsets[item]:offsets[item + 1]],
+                assume_unique=True,
+            )
+        if not len(tids):
+            continue
+        # Gather the last items' tidsets back to back; the marks they
+        # hit, summed per tidset, are the group's supports. An empty
+        # tidset has no run to sum (reduceat would misread it), so only
+        # non-empty ones are reduced; the rest keep their 0.
+        last = rows[lo:hi, -1]
+        lengths = sizes[last]
+        firsts = np.cumsum(lengths) - lengths
+        gather = np.arange(int(firsts[-1] + lengths[-1])) + np.repeat(
+            offsets[last] - firsts, lengths
+        )
+        marks[tids] = 1
+        hits = marks[flat[gather]]
+        marks[tids] = 0
+        present = lengths > 0
+        if present.any():
+            supports[lo:hi][present] = np.add.reduceat(
+                hits, firsts[present], dtype=np.int64
+            )
+    if order is None:
+        return supports
+    unsorted = np.empty_like(supports)
+    unsorted[order] = supports
+    return unsorted
 
 
 def count_supports(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Sequence
 from itertools import combinations
 
 import numpy as np
@@ -78,7 +79,7 @@ def _pass_one_core(
 
 def _count_pass_core(
     transactions: list[Itemset],
-    candidates: list[Itemset],
+    candidates: Sequence[Itemset],
     k: int,
     build_next_hash: bool,
     n_buckets: int,
@@ -134,7 +135,7 @@ def _pass_one_chunk(
 
 
 def _count_chunk(
-    payload: tuple[list[Itemset], list[Itemset], int, bool, int, bool]
+    payload: tuple[list[Itemset], Sequence[Itemset], int, bool, int, bool]
 ) -> tuple[np.ndarray, np.ndarray | None, list[Itemset], float]:
     """Worker task: :func:`_count_pass_core` over one transaction chunk.
 
@@ -257,7 +258,7 @@ class DHP:
     def _count_pass_parallel(
         self,
         transactions: list[Itemset],
-        candidates: list[Itemset],
+        candidates: Sequence[Itemset],
         k: int,
         build_next_hash: bool,
         pool,
@@ -309,10 +310,10 @@ class DHP:
 
     def _hash_filter(
         self,
-        candidates: list[Itemset],
+        candidates: Sequence[Itemset],
         buckets: np.ndarray | None,
         threshold: int,
-    ) -> list[Itemset]:
+    ) -> Sequence[Itemset]:
         if buckets is None:
             return candidates
         return [
@@ -324,7 +325,7 @@ class DHP:
     def _count_pass(
         self,
         transactions: list[Itemset],
-        candidates: list[Itemset],
+        candidates: Sequence[Itemset],
         k: int,
         build_next_hash: bool,
     ) -> tuple[dict[Itemset, int], np.ndarray | None, list[Itemset]]:

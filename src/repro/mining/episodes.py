@@ -215,7 +215,7 @@ class EpisodeMiner:
         k = 2
         while frequent_prev and (self.max_level is None or k <= self.max_level):
             if self.kind == "parallel":
-                candidates = apriori_gen(frequent_prev)
+                candidates = list(apriori_gen(frequent_prev))
             else:
                 candidates = _serial_candidates(frequent_prev)
             stats = result.level(k)

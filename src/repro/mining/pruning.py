@@ -21,6 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.generalized import GeneralizedOSSM
+from ..core.itemset_table import ItemsetTable, select
 from ..core.ossm import OSSM
 from ..obs.metrics import get_registry
 
@@ -45,8 +46,12 @@ class CandidatePruner(abc.ABC):
     @abc.abstractmethod
     def prune(
         self, candidates: Sequence[Itemset], min_support: int
-    ) -> list[Itemset]:
-        """Return the candidates whose bound reaches *min_support*."""
+    ) -> Sequence[Itemset]:
+        """Return the candidates whose bound reaches *min_support*.
+
+        Pruners keep an :class:`~repro.core.itemset_table.ItemsetTable`
+        a table, so one Apriori level stays one array into counting.
+        """
 
     def candidate_bounds(
         self, candidates: Sequence[Itemset]
@@ -76,7 +81,9 @@ class NullPruner(CandidatePruner):
 
     def prune(
         self, candidates: Sequence[Itemset], min_support: int
-    ) -> list[Itemset]:
+    ) -> Sequence[Itemset]:
+        if isinstance(candidates, ItemsetTable):
+            return candidates
         return list(candidates)
 
 
@@ -95,7 +102,7 @@ class OSSMPruner(CandidatePruner):
 
     def prune(
         self, candidates: Sequence[Itemset], min_support: int
-    ) -> list[Itemset]:
+    ) -> Sequence[Itemset]:
         survivors, _mask = self.ossm.prune(candidates, min_support)
         self._record_prune(len(candidates), len(survivors))
         return survivors
@@ -118,15 +125,11 @@ class GeneralizedOSSMPruner(CandidatePruner):
 
     def prune(
         self, candidates: Sequence[Itemset], min_support: int
-    ) -> list[Itemset]:
+    ) -> Sequence[Itemset]:
         if not candidates:
             return []
         bounds = self.gossm.upper_bounds(candidates)
-        survivors = [
-            candidate
-            for candidate, bound in zip(candidates, bounds)
-            if bound >= min_support
-        ]
+        survivors = select(candidates, bounds >= min_support)
         self._record_prune(len(candidates), len(survivors))
         return survivors
 
@@ -149,8 +152,8 @@ class ChainPruner(CandidatePruner):
 
     def prune(
         self, candidates: Sequence[Itemset], min_support: int
-    ) -> list[Itemset]:
-        survivors = list(candidates)
+    ) -> Sequence[Itemset]:
+        survivors = candidates
         for pruner in self.pruners:
             if not survivors:
                 break

@@ -18,6 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..core.itemset_table import as_array
 from ..core.ossm import OSSM
 from ..obs.trace import trace
 from .plan import resolve_workers
@@ -48,9 +49,7 @@ def parallel_upper_bounds(
     n_candidates = len(itemsets)
     if n_candidates == 0:
         return ossm.upper_bounds(itemsets)
-    candidates = np.asarray(itemsets, dtype=np.int64)
-    if candidates.ndim != 2:
-        raise ValueError("itemsets must all have the same cardinality")
+    candidates = as_array(itemsets)
     if candidates.shape[1] == 0:
         return ossm.upper_bounds(itemsets)
     n_workers = pool.workers if pool is not None else resolve_workers(workers)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OSSM, build_from_database, build_from_pages
+from repro.core.itemset_table import ItemsetTable
 from repro.data import PagedDatabase, TransactionDatabase
 
 
@@ -107,6 +108,52 @@ class TestBound:
     def test_batch_requires_uniform_cardinality(self, example1_matrix):
         with pytest.raises(ValueError):
             OSSM(example1_matrix).upper_bounds([(0,), (0, 1)])
+
+    def test_negative_item_rejected(self, example1_matrix):
+        # A negative id used to index from the end: [-1] read item 2.
+        ossm = OSSM(example1_matrix)
+        with pytest.raises(ValueError, match="outside the item domain"):
+            ossm.upper_bound([-1])
+        with pytest.raises(ValueError, match="outside the item domain"):
+            ossm.upper_bounds([[-1, 0]])
+        with pytest.raises(ValueError, match="outside the item domain"):
+            ossm.upper_bounds([(0, 1, -2)])
+
+    def test_item_beyond_domain_rejected(self, example1_matrix):
+        ossm = OSSM(example1_matrix)
+        with pytest.raises(ValueError, match="outside the item domain"):
+            ossm.upper_bound([0, 3])
+        with pytest.raises(ValueError, match="outside the item domain"):
+            ossm.upper_bounds([(0, 3)])
+        with pytest.raises(ValueError, match="outside the item domain"):
+            ossm.prune([(3,)], 1)
+
+    def test_blocked_bounds_match_scalar(self):
+        rng = np.random.default_rng(5)
+        ossm = OSSM(rng.integers(0, 30, (9, 12)).astype(np.int64))
+        for size in (1, 3, 4):
+            itemsets = [
+                tuple(sorted(rng.choice(12, size, replace=False).tolist()))
+                for _ in range(50)
+            ]
+            assert ossm.upper_bounds(itemsets).tolist() == [
+                ossm.upper_bound(itemset) for itemset in itemsets
+            ]
+
+    def test_prune_keeps_a_table_a_table(self, example1_matrix):
+        ossm = OSSM(example1_matrix)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        bounds = ossm.upper_bounds(pairs)
+        threshold = int(np.median(bounds))
+        table = ItemsetTable(np.array(pairs))
+        survivors, mask = ossm.prune(table, threshold)
+        assert isinstance(survivors, ItemsetTable)
+        listed, listed_mask = ossm.prune(pairs, threshold)
+        assert isinstance(listed, list)
+        assert survivors == listed
+        assert mask.tolist() == listed_mask.tolist() == (
+            bounds >= threshold
+        ).tolist()
 
     def test_pair_fast_path_matches_scalar(self):
         """The scipy cityblock fast path must equal the direct min-sum."""

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.data import TransactionDatabase
@@ -99,6 +100,36 @@ class TestTidsetCounterSpecifics:
         other = TransactionDatabase([(0, 1)], n_items=2)
         counter.count(other, [(0,)])
         assert counter._tidsets is not first
+
+    def test_second_database_after_the_first_is_dropped(self):
+        # The layout cache must not trust a recycled id(): CPython
+        # readily hands a freed database's address to the next one.
+        counter = TidsetCounter()
+        first = TransactionDatabase([(0, 1)] * 3, n_items=2)
+        assert counter.count(first, [(0, 1)]) == {(0, 1): 3}
+        first_id = id(first)
+        del first
+        for _ in range(200):
+            second = TransactionDatabase([(0,), (1,)], n_items=2)
+            if id(second) == first_id:
+                break
+        assert counter.count(second, [(0, 1)]) == {(0, 1): 0}
+
+    def test_prefix_groups_count_exactly(self):
+        rng = np.random.default_rng(11)
+        db = TransactionDatabase(
+            [rng.choice(9, rng.integers(0, 7), replace=False).tolist()
+             for _ in range(120)],
+            n_items=9,
+        )
+        for size in (2, 3, 4):
+            candidates = [
+                tuple(sorted(rng.choice(9, size, replace=False).tolist()))
+                for _ in range(40)
+            ]
+            rng.shuffle(candidates)  # unsorted input
+            counts = TidsetCounter().count(db, candidates)
+            assert counts == {c: db.support(c) for c in candidates}
 
     def test_counts_zero_for_disjoint_pair(self):
         db = TransactionDatabase([(0,), (1,)], n_items=2)
