@@ -42,6 +42,12 @@ DEFAULT_HOT_MODULES: tuple[str, ...] = (
     "parallel/threads.py",
     "core/greedy.py",
     "core/bubble.py",
+    # Segmentation's loss evaluator and the merge loops around it: RC's
+    # neighbour scan and the streaming builder's per-page scan.
+    "core/rc.py",
+    "core/segmentation.py",
+    "core/loss.py",
+    "core/incremental.py",
     "parallel/pool.py",
     "serve/cache.py",
     "serve/service.py",

@@ -30,8 +30,10 @@ from .loss import (
     cumulative_loss_naive,
     merge_loss,
     merge_loss_naive,
+    merge_losses,
     pair_bound_sum,
     pair_bound_sum_naive,
+    pair_bound_sums,
     pairwise_merge_losses,
 )
 from .minimization import (
@@ -68,8 +70,10 @@ __all__ = [
     "cumulative_loss_naive",
     "merge_loss",
     "merge_loss_naive",
+    "merge_losses",
     "pair_bound_sum",
     "pair_bound_sum_naive",
+    "pair_bound_sums",
     "pairwise_merge_losses",
     "MinimizationResult",
     "count_segmentations",

@@ -10,7 +10,8 @@ segments.
 Complexity (paper, Section 5.2): ``O(P² m²)`` to seed plus
 ``O(P (m² + log P))`` per iteration → ``O(P² m² + P² log P)`` overall;
 our sort-based loss evaluator turns each ``m²`` into ``m log m`` without
-changing any merge decision (see :mod:`repro.core.loss`). The heap uses
+changing any merge decision (see :mod:`repro.core.loss`), and scores
+one segment against all the others in one batched call. The heap uses
 lazy deletion: entries referring to retired segment handles are
 discarded on pop, which implements Step 5 of Figure 2 ("remove all pairs
 involving S_i or S_j") without an indexed queue.
@@ -19,7 +20,7 @@ involving S_i or S_j") without an indexed queue.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import repeat
 
 from ..obs.metrics import get_registry
 from .segmentation import MergeState, Segmenter
@@ -38,13 +39,19 @@ class GreedySegmenter(Segmenter):
 
     def _reduce(self, state: MergeState, n_user: int) -> None:
         metrics = get_registry()
+        # Seed: one batched evaluation scores each segment against every
+        # newer one; entries are (loss, older, newer) as in a pair loop.
+        ids = state.segment_ids()
         heap: list[tuple[int, int, int]] = []
-        for a, b in combinations(state.segment_ids(), 2):
-            heap.append((state.loss(a, b), a, b))
+        for i, older in enumerate(ids[:-1]):
+            newer = ids[i + 1:]
+            heap.extend(
+                zip(state.losses(older, newer).tolist(), repeat(older), newer)
+            )
         heapq.heapify(heap)
         # Hot loop: bind the per-iteration attribute lookups once.
         heappop, heappush = heapq.heappop, heapq.heappush
-        pair_loss = state.loss
+        losses = state.losses
         while state.n_segments > n_user:
             loss, a, b = heappop(heap)
             if not (state.alive(a) and state.alive(b)):
@@ -52,11 +59,10 @@ class GreedySegmenter(Segmenter):
                     metrics.inc("segmentation.greedy.stale_pops")
                 continue  # stale entry: a participant was merged away
             merged = state.merge(a, b)
-            pushes = 0
-            for other in state.segment_ids():
-                if other != merged:
-                    heappush(heap, (pair_loss(merged, other), other, merged))
-                    pushes += 1
+            # The merged segment holds the newest handle, so it sorts last.
+            others = state.segment_ids()[:-1]
+            for loss, other in zip(losses(merged, others).tolist(), others):
+                heappush(heap, (loss, other, merged))
             if metrics.enabled:
                 metrics.inc("segmentation.greedy.merges")
-                metrics.inc("segmentation.greedy.heap_pushes", pushes)
+                metrics.inc("segmentation.greedy.heap_pushes", len(others))

@@ -27,7 +27,7 @@ import numpy as np
 from ..data.pages import PagedDatabase
 from ..data.transactions import TransactionDatabase
 from .greedy import GreedySegmenter
-from .loss import merge_loss
+from .loss import merge_losses
 from .ossm import OSSM
 
 __all__ = ["StreamingOSSMBuilder", "extend_ossm"]
@@ -58,9 +58,7 @@ class StreamingOSSMBuilder:
             raise ValueError("max_segments must be >= 1")
         self.n_items = int(n_items)
         self.max_segments = int(max_segments)
-        self._items = (
-            np.asarray(items, dtype=np.int64) if items is not None else None
-        )
+        self._items = list(items) if items is not None else None
         self._rows: list[np.ndarray] = []
         self._sizes: list[int] = []
         self.pages_consumed = 0
@@ -87,16 +85,10 @@ class StreamingOSSMBuilder:
             self._rows.append(row.copy())
             self._sizes.append(int(size))
             return len(self._rows) - 1
-        restricted = row if self._items is None else row[self._items]
-        best, best_loss = 0, None
-        for index, existing in enumerate(self._rows):
-            other = (
-                existing if self._items is None else existing[self._items]
-            )
-            loss = merge_loss(other, restricted)
-            self.loss_evaluations += 1
-            if best_loss is None or loss < best_loss:
-                best, best_loss = index, loss
+        # argmin keeps the first minimum: ties go to the oldest segment.
+        losses = merge_losses(row, np.vstack(self._rows), items=self._items)
+        self.loss_evaluations += len(self._rows)
+        best = int(np.argmin(losses))
         self._rows[best] = self._rows[best] + row
         self._sizes[best] += int(size)
         return best

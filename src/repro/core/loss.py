@@ -19,6 +19,16 @@ Two evaluators are provided:
   of exactly ``m − 1 − k`` pairs (those pairing it with a larger-ranked
   item), so ``Σ_{x<y} min(u_x, u_y) = Σ_k u_(k) · (m − 1 − k)``.
 
+The segmentation algorithms score one segment against many at once:
+:func:`pair_bound_sums` applies the sort identity to every row of a
+matrix in one ``np.sort(axis=1)`` and one int64 dot, and
+:func:`merge_losses` builds Equation (2) for a whole batch of merge
+partners on it. A batch is sorted in the narrowest dtype that holds
+its largest entry — uint16, then uint32, else int64 — because numpy
+sorts 16-bit keys far faster than 64-bit ones (3× on a 199 × 1000
+batch). uint8 is not used: its row sort measured 18× slower than
+uint16's. The sums stay exact in every dtype.
+
 Writing ``f(u) = Σ_{x<y} min(u_x, u_y)``, Equation (2) factorizes as
 ``cumuLoss(S) = f(Σ_{s∈S} s) − Σ_{s∈S} f(s)`` — the merged bound minus
 the separated bounds, summed over pairs. Both evaluators implement the
@@ -36,15 +46,21 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.typing import DTypeLike
+
+from .ossm import check_supports
 
 __all__ = [
     "pair_bound_sum",
+    "pair_bound_sums",
     "pair_bound_sum_naive",
     "merge_loss",
+    "merge_losses",
     "merge_loss_naive",
     "cumulative_loss",
     "cumulative_loss_naive",
     "pairwise_merge_losses",
+    "sort_dtype",
 ]
 
 
@@ -55,6 +71,17 @@ def _restrict(u: np.ndarray, items: Sequence[int] | None) -> np.ndarray:
     if items is None:
         return u
     return u[np.asarray(items, dtype=np.int64)]
+
+
+def _restrict_rows(
+    rows: np.ndarray, items: Sequence[int] | None
+) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-D matrix (segments x items)")
+    if items is None:
+        return rows
+    return rows[:, np.asarray(items, dtype=np.int64)]
 
 
 def pair_bound_sum(
@@ -68,6 +95,37 @@ def pair_bound_sum(
     ascending = np.sort(u)
     weights = np.arange(m - 1, -1, -1, dtype=np.int64)
     return int(np.dot(ascending, weights))
+
+
+def sort_dtype(high: int) -> DTypeLike:
+    """Narrowest dtype that holds non-negative values up to *high*."""
+    if high <= np.iinfo(np.uint16).max:
+        return np.uint16
+    if high <= np.iinfo(np.uint32).max:
+        return np.uint32
+    return np.int64
+
+
+def pair_bound_sums(rows: np.ndarray, high: int | None = None) -> np.ndarray:
+    """``f`` of every row of a matrix of supports, as an int64 vector.
+
+    *high* is an upper bound on the entries when the caller already
+    knows one; otherwise the matrix is scanned for it. The rows are
+    sorted in :func:`sort_dtype` of that bound.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-D matrix (segments x items)")
+    k, m = rows.shape
+    if k == 0 or m < 2:
+        return np.zeros(k, dtype=np.int64)
+    if high is None:
+        check_supports(rows)
+        high = int(rows.max())
+    ascending = np.sort(rows.astype(sort_dtype(high), copy=False), axis=1)
+    # einsum's int64 dot measured ~20 % faster than ``@`` on uint16 rows.
+    weights = np.arange(m - 1, -1, -1, dtype=np.int64)
+    return np.einsum("ij,j->i", ascending, weights)
 
 
 def pair_bound_sum_naive(
@@ -102,6 +160,26 @@ def merge_loss(
     )
 
 
+def merge_losses(
+    a: np.ndarray,
+    rows: np.ndarray,
+    items: Sequence[int] | None = None,
+) -> np.ndarray:
+    """:func:`merge_loss` of *a* against every row of *rows*, batched.
+
+    Returns the int64 vector ``f(a + r) − f(a) − f(r)`` over the rows
+    ``r``; an empty *rows* gives an empty vector. Supports must be
+    non-negative.
+    """
+    a = _restrict(a, items)
+    rows = _restrict_rows(rows, items)
+    if rows.shape[1] != a.shape[0]:
+        raise ValueError("segment rows must have equal length")
+    return (
+        pair_bound_sums(rows + a) - pair_bound_sum(a) - pair_bound_sums(rows)
+    )
+
+
 def merge_loss_naive(
     a: np.ndarray,
     b: np.ndarray,
@@ -129,11 +207,7 @@ def cumulative_loss(
 
     ``rows`` is a ``k × m`` matrix whose rows are the segments of ``S``.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-D matrix (segments x items)")
-    if items is not None:
-        rows = rows[:, np.asarray(items, dtype=np.int64)]
+    rows = _restrict_rows(rows, items)
     merged = pair_bound_sum(rows.sum(axis=0))
     separated = sum(pair_bound_sum(row) for row in rows)
     return int(merged - separated)
@@ -143,11 +217,7 @@ def cumulative_loss_naive(
     rows: np.ndarray, items: Sequence[int] | None = None
 ) -> int:
     """Paper-literal ``cumuLoss(S)``: explicit sum over item pairs."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-D matrix (segments x items)")
-    if items is not None:
-        rows = rows[:, np.asarray(items, dtype=np.int64)]
+    rows = _restrict_rows(rows, items)
     k, m = rows.shape
     total = 0
     column_sums = rows.sum(axis=0)
@@ -167,26 +237,13 @@ def pairwise_merge_losses(
     """Matrix of :func:`merge_loss` for every pair of rows.
 
     Entry ``(i, j)`` is the loss of merging segments ``i`` and ``j``;
-    the diagonal is 0. Used to seed the Greedy priority queue; computed
-    with the sort identity per pair, so ``O(k² · b log b)`` overall for
-    ``k`` segments and ``b`` (bubble-restricted) items.
+    the diagonal is 0. One :func:`merge_losses` call per row scores it
+    against every later row, so ``O(k² · b log b)`` overall for ``k``
+    segments and ``b`` (bubble-restricted) items.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-D matrix (segments x items)")
-    if items is not None:
-        rows = rows[:, np.asarray(items, dtype=np.int64)]
+    rows = _restrict_rows(rows, items)
     k = rows.shape[0]
-    f_values = np.array(
-        [pair_bound_sum(row) for row in rows], dtype=np.int64
-    )
     losses = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            loss = (
-                pair_bound_sum(rows[i] + rows[j])
-                - int(f_values[i])
-                - int(f_values[j])
-            )
-            losses[i, j] = losses[j, i] = loss
-    return losses
+    for i in range(k - 1):
+        losses[i, i + 1:] = merge_losses(rows[i], rows[i + 1:])
+    return losses + losses.T

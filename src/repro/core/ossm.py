@@ -28,7 +28,7 @@ from ..data.transactions import TransactionDatabase
 from ..resilience import CorruptArtifact, atomic_savez, verified_load_npz
 from .itemset_table import as_array, select
 
-__all__ = ["OSSM", "build_from_pages", "build_from_database"]
+__all__ = ["OSSM", "build_from_pages", "build_from_database", "check_supports"]
 
 #: Cell width (bytes) used for the paper's storage accounting. The
 #: paper's sizes (0.2 MB at 100 segments x 1000 items) correspond to
@@ -39,6 +39,15 @@ NOMINAL_CELL_BYTES = 2
 #: bound reduction: 512 KB keeps the running minimum in cache, which
 #: measured 3x faster than 8 MB blocks on a 40k-candidate level.
 _BOUND_BLOCK_CELLS = 1 << 16
+
+
+def check_supports(matrix: np.ndarray) -> None:
+    """Supports are counts: reject negative or fractional entries."""
+    if matrix.size and matrix.min() < 0:
+        raise ValueError("segment supports must be non-negative")
+    if not np.issubdtype(matrix.dtype, np.integer):
+        if not np.all(matrix == matrix.astype(np.int64)):
+            raise ValueError("segment supports must be integral")
 
 
 class OSSM:
@@ -76,11 +85,7 @@ class OSSM:
         matrix = np.asarray(segment_supports)
         if matrix.ndim != 2:
             raise ValueError("segment_supports must be a 2-D matrix")
-        if matrix.size and matrix.min() < 0:
-            raise ValueError("segment supports must be non-negative")
-        if not np.issubdtype(matrix.dtype, np.integer):
-            if not np.all(matrix == matrix.astype(np.int64)):
-                raise ValueError("segment supports must be integral")
+        check_supports(matrix)
         self._matrix = matrix.astype(np.int64, copy=True)
         self._matrix.setflags(write=False)
         # Item-major copy of the matrix for k >= 3 bounds, built lazily.

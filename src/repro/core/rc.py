@@ -4,7 +4,8 @@ Each iteration picks a *random* live segment and merges it with its
 closest neighbour — the segment minimizing the Equation (2) pair loss.
 Like Greedy it prefers cheap merges, but it drops the global-minimum
 requirement and the priority queue: one scan of the survivors per
-iteration, ``O(P m²)`` each, ``O(P² m²)`` overall.
+iteration (a single batched loss evaluation), ``O(P m²)`` each,
+``O(P² m²)`` overall.
 """
 
 from __future__ import annotations
@@ -34,17 +35,11 @@ class RCSegmenter(Segmenter):
         metrics = get_registry()
         rng = np.random.default_rng(self.seed)
         while state.n_segments > n_user:
-            ids = state.segment_ids()
-            anchor = ids[int(rng.integers(len(ids)))]
-            closest = None
-            best_loss = None
-            for other in ids:
-                if other == anchor:
-                    continue
-                loss = state.loss(anchor, other)
-                metrics.inc("segmentation.rc.neighbour_scans")
-                if best_loss is None or loss < best_loss:
-                    best_loss = loss
-                    closest = other
+            others = state.segment_ids()
+            anchor = others.pop(int(rng.integers(len(others))))
+            # argmin keeps the first minimum: the lowest-handle neighbour.
+            closest = others[int(np.argmin(state.losses(anchor, others)))]
             state.merge(anchor, closest)
-            metrics.inc("segmentation.rc.merges")
+            if metrics.enabled:
+                metrics.inc("segmentation.rc.neighbour_scans", len(others))
+                metrics.inc("segmentation.rc.merges")

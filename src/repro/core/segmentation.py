@@ -28,8 +28,8 @@ from ..obs.instrument import record_ossm_build
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..obs.trace import trace
-from .loss import pair_bound_sum
-from .ossm import OSSM
+from .loss import pair_bound_sums, sort_dtype
+from .ossm import OSSM, check_supports
 
 __all__ = ["SegmentationResult", "Segmenter", "MergeState", "as_page_matrix"]
 
@@ -39,13 +39,20 @@ logger = get_logger(__name__)
 def as_page_matrix(
     source: PagedDatabase | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalize a segmentation input to ``(page_matrix, page_sizes)``."""
+    """Normalize a segmentation input to ``(page_matrix, page_sizes)``.
+
+    A raw matrix must hold non-negative integral supports, with the
+    :class:`~repro.core.ossm.OSSM` messages: a fractional or negative
+    entry would otherwise be truncated or wrapped silently, and the
+    realized map could then undercut a true support.
+    """
     if isinstance(source, PagedDatabase):
         return source.page_supports(), source.page_lengths()
-    matrix = np.asarray(source, dtype=np.int64)
+    matrix = np.asarray(source)
     if matrix.ndim != 2:
         raise ValueError("page matrix must be 2-D (pages x items)")
-    return matrix, None
+    check_supports(matrix)
+    return matrix.astype(np.int64, copy=False), None
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,14 @@ class MergeState:
     Segment handles are integers; merging retires both operands and
     allocates a fresh handle, so stale priority-queue entries are
     recognizably dead (the lazy-deletion pattern the Greedy heap needs).
+
+    The loss side is array-backed and filled on first use, so a run
+    that never scores a merge (Random) never pays for it. The rows
+    restricted to *items* sit in one matrix indexed by handle: ``P``
+    pages merge at most ``P − 1`` times, so handles stop at ``2P − 2``.
+    Its dtype is the narrowest that holds the largest column total,
+    which no segment can exceed. ``f`` (``-1`` until filled) and the
+    row maxima sit in handle-indexed arrays beside it.
     """
 
     def __init__(
@@ -94,40 +109,73 @@ class MergeState:
         page_matrix: np.ndarray,
         items: Sequence[int] | None = None,
     ) -> None:
-        page_matrix = np.asarray(page_matrix, dtype=np.int64)
+        page_matrix, _ = as_page_matrix(page_matrix)
+        n_pages = page_matrix.shape[0]
         self._items = (
             np.asarray(items, dtype=np.int64) if items is not None else None
         )
+        restricted = (
+            page_matrix if self._items is None else page_matrix[:, self._items]
+        )
+        capacity = max(2 * n_pages - 1, 0)
+        high = int(restricted.sum(axis=0).max(initial=0))
+        self._loss_rows = np.zeros(
+            (capacity, restricted.shape[1]), dtype=sort_dtype(high)
+        )
+        self._row_max = np.zeros(capacity, dtype=np.int64)
+        self._f = np.full(capacity, -1, dtype=np.int64)
         self.rows: dict[int, np.ndarray] = {
-            i: page_matrix[i].copy() for i in range(page_matrix.shape[0])
+            i: page_matrix[i].copy() for i in range(n_pages)
         }
         self.groups: dict[int, list[int]] = {
-            i: [i] for i in range(page_matrix.shape[0])
+            i: [i] for i in range(n_pages)
         }
-        self._next_id = page_matrix.shape[0]
-        self._f: dict[int, int] = {}
+        self._next_id = n_pages
         self.loss_evaluations = 0
 
     # -- loss ------------------------------------------------------------
 
-    def _restricted(self, row: np.ndarray) -> np.ndarray:
-        return row if self._items is None else row[self._items]
+    def _fill(self, handles: np.ndarray) -> None:
+        """Fill the loss row, row maximum and ``f`` of unseen *handles*."""
+        fresh = handles[self._f[handles] < 0]
+        if not fresh.size:
+            return
+        rows = np.vstack([self.rows[seg] for seg in fresh.tolist()])
+        if self._items is not None:
+            rows = rows[:, self._items]
+        maxima = rows.max(axis=1, initial=0)
+        self._loss_rows[fresh] = rows
+        self._row_max[fresh] = maxima
+        self._f[fresh] = pair_bound_sums(rows, int(maxima.max()))
 
     def f_value(self, seg: int) -> int:
         """Cached ``f(row)`` (sum of pair minima) for a live segment."""
-        value = self._f.get(seg)
-        if value is None:
-            value = pair_bound_sum(self._restricted(self.rows[seg]))
-            self._f[seg] = value
-        return value
+        self._fill(np.array([seg]))
+        return int(self._f[seg])
+
+    def losses(self, a: int, others: Sequence[int]) -> np.ndarray:
+        """Equation (2) loss of merging *a* with each of *others*.
+
+        One batched evaluation: the merged rows are sorted in the
+        narrowest dtype that holds ``max(a) + max(others)``. Counts
+        ``len(others)`` loss evaluations.
+        """
+        handles = np.asarray(others, dtype=np.intp)
+        self.loss_evaluations += len(handles)
+        if not len(handles):
+            return np.zeros(0, dtype=np.int64)
+        self._fill(np.append(handles, a))
+        high = int(self._row_max[a]) + int(self._row_max[handles].max())
+        dtype = sort_dtype(high)
+        merged = self._loss_rows[handles].astype(dtype, copy=False)
+        merged += self._loss_rows[a].astype(dtype, copy=False)
+        return (
+            pair_bound_sums(merged, high) - self._f[a] - self._f[handles]
+        )
 
     def loss(self, a: int, b: int) -> int:
         """Equation (2) loss of merging live segments *a* and *b*."""
-        self.loss_evaluations += 1
-        merged = pair_bound_sum(
-            self._restricted(self.rows[a]) + self._restricted(self.rows[b])
-        )
-        return merged - self.f_value(a) - self.f_value(b)
+        return int(self.losses(a, [b])[0])
 
     # -- merging -----------------------------------------------------------
 
@@ -142,7 +190,6 @@ class MergeState:
         for old in (a, b):
             del self.rows[old]
             del self.groups[old]
-            self._f.pop(old, None)
         return new
 
     def alive(self, seg: int) -> bool:

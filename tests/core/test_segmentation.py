@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import MergeState, RandomSegmenter, merge_loss
+from repro.core import (
+    GreedySegmenter,
+    MergeState,
+    RandomSegmenter,
+    merge_loss,
+)
 from repro.core.segmentation import as_page_matrix
 from repro.data import PagedDatabase, TransactionDatabase
 
@@ -29,6 +34,34 @@ class TestAsPageMatrix:
     def test_rejects_vector(self):
         with pytest.raises(ValueError, match="2-D"):
             as_page_matrix(np.zeros(4))
+
+    def test_accepts_integral_floats(self):
+        out, _ = as_page_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        assert out.dtype == np.int64
+        assert out.tolist() == [[1, 2], [0, 3]]
+
+    def test_rejects_fractional_supports(self):
+        with pytest.raises(ValueError, match="integral"):
+            as_page_matrix([[0.5, 1.7, 3.0], [4.2, 5, 6]])
+
+    def test_rejects_negative_supports(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            as_page_matrix([[1, -1, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize(
+        "pages, message",
+        [
+            ([[0.5, 1.7, 3.0], [4.2, 5, 6], [1, 1, 1], [2, 2, 2]], "integral"),
+            ([[1, -1, 3], [4, 5, 6], [1, 1, 1], [2, 2, 2]], "non-negative"),
+        ],
+    )
+    def test_segment_rejects_before_any_loss(self, pages, message, monkeypatch):
+        def no_losses(*args, **kwargs):
+            raise AssertionError("a loss was evaluated")
+
+        monkeypatch.setattr(MergeState, "losses", no_losses)
+        with pytest.raises(ValueError, match=message):
+            GreedySegmenter().segment(pages, 2)
 
 
 class TestMergeState:

@@ -11,6 +11,7 @@ from repro.core import (
     cumulative_loss_naive,
     merge_loss,
     merge_loss_naive,
+    merge_losses,
     pair_bound_sum,
     pair_bound_sum_naive,
 )
@@ -99,3 +100,26 @@ def test_lemma2c_monotone(rows):
 def test_scaling_invariance_of_configuration(u, factor):
     """Configurations are scale-free; scaled rows merge for free."""
     assert merge_loss(u, factor * u) == 0
+
+
+#: One segment and a batch of partners over the same items, with
+#: magnitudes up to 2³³ so every sort dtype of the batch can occur.
+batches = st.integers(min_value=1, max_value=10).flatmap(
+    lambda m: st.tuples(
+        arrays(np.int64, m, elements=st.integers(0, 2**33)),
+        arrays(
+            np.int64,
+            st.tuples(st.integers(min_value=0, max_value=6), st.just(m)),
+            elements=st.integers(0, 2**33),
+        ),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches)
+def test_merge_losses_equals_naive_per_row(batch):
+    a, rows = batch
+    assert merge_losses(a, rows).tolist() == [
+        merge_loss_naive(a, r) for r in rows
+    ]
