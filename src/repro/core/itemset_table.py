@@ -71,7 +71,7 @@ class ItemsetTable(Sequence[Itemset]):
     tuples in the same order.
     """
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "_basis")
 
     def __init__(self, array: np.ndarray) -> None:
         array = np.ascontiguousarray(array, dtype=np.int64)
@@ -80,11 +80,29 @@ class ItemsetTable(Sequence[Itemset]):
         view = array.view()
         view.setflags(write=False)
         self._array = view
+        self._basis: np.ndarray | None = None
+
+    @classmethod
+    def pairs_of(cls, basis: np.ndarray) -> ItemsetTable:
+        """Pairs ``i < j`` of *basis* in ``pdist``'s condensed order: level 2
+        over a sorted L1. Slicing and :meth:`compress` drop the basis."""
+        basis = np.array(basis, dtype=np.int64)
+        basis.setflags(write=False)
+        rows, columns = np.broadcast_arrays(basis[:, None], basis)
+        upper = ~np.tri(len(basis), dtype=bool)
+        table = cls(np.column_stack((rows[upper], columns[upper])))
+        table._basis = basis
+        return table
 
     @property
     def array(self) -> np.ndarray:
         """The read-only C-contiguous ``(n, k)`` int64 array."""
         return self._array
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        """The basis of a :meth:`pairs_of` table, else ``None``."""
+        return self._basis
 
     def __len__(self) -> int:
         return int(self._array.shape[0])

@@ -22,11 +22,12 @@ import os
 from collections.abc import Iterable, Sequence
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from ..data.pages import PagedDatabase
 from ..data.transactions import TransactionDatabase
 from ..resilience import CorruptArtifact, atomic_savez, verified_load_npz
-from .itemset_table import as_array, select
+from .itemset_table import ItemsetTable, as_array, select
 
 __all__ = ["OSSM", "build_from_pages", "build_from_database", "check_supports"]
 
@@ -35,7 +36,7 @@ __all__ = ["OSSM", "build_from_pages", "build_from_database", "check_supports"]
 #: 2-byte cells.
 NOMINAL_CELL_BYTES = 2
 
-#: Cells (candidates x segments) gathered per block of the k >= 3
+#: Cells (candidates x segments) gathered per block of the gathered
 #: bound reduction: 512 KB keeps the running minimum in cache, which
 #: measured 3x faster than 8 MB blocks on a 40k-candidate level.
 _BOUND_BLOCK_CELLS = 1 << 16
@@ -88,7 +89,7 @@ class OSSM:
         check_supports(matrix)
         self._matrix = matrix.astype(np.int64, copy=True)
         self._matrix.setflags(write=False)
-        # Item-major copy of the matrix for k >= 3 bounds, built lazily.
+        # Item-major copy of the matrix for gathered bounds, built lazily.
         self._by_item: np.ndarray | None = None
         if segment_sizes is not None:
             sizes = tuple(int(s) for s in segment_sizes)
@@ -182,10 +183,6 @@ class OSSM:
         """Global singleton supports (exact; column sums)."""
         return self._matrix.sum(axis=0)
 
-    def segment_support(self, segment: int, item: int) -> int:
-        """``sup_segment({item})`` for one cell."""
-        return int(self._matrix[segment, item])
-
     def upper_bound(self, itemset: Iterable[int]) -> int:
         """Equation (1) upper bound on the support of *itemset*.
 
@@ -212,12 +209,10 @@ class OSSM:
         ``range(n_items)``. Returns an int64 vector aligned with
         *itemsets*.
         """
+        if isinstance(itemsets, ItemsetTable) and itemsets.basis is not None:
+            return self._triangle_bounds(itemsets.basis)
         candidates = as_array(itemsets, self.n_items)
         n, k = candidates.shape
-        if not n:
-            return np.zeros(0, dtype=np.int64)
-        if k == 2:
-            return self._pair_bounds(candidates)
         if not k:
             return np.full(n, self.upper_bound(()), dtype=np.int64)
         # Item-major rows are contiguous per item, so each gather reads
@@ -235,36 +230,21 @@ class OSSM:
             acc.sum(axis=1, out=bounds[lo:lo + len(rows)])
         return bounds
 
-    def _pair_bounds(self, pairs: np.ndarray) -> np.ndarray:
-        """Fast path for 2-itemsets — Apriori's dominant level.
-
-        Per segment, ``min(p, q) = (p + q − |p − q|)/2``, so the pair
-        bound is ``(sup(x) + sup(y) − L1(col_x, col_y)) / 2``. The L1
-        distances of all distinct item columns involved are computed in
-        one C-optimized ``pdist`` call, which is an order of magnitude
-        faster than gathering per-candidate segment columns in numpy.
-        """
-        try:
-            from scipy.spatial.distance import pdist, squareform
-        except ImportError:  # pragma: no cover - scipy is a hard dep
-            per_segment = self._matrix[:, pairs].min(axis=2)
-            return per_segment.sum(axis=0).astype(np.int64)
-        items, inverse = np.unique(pairs, return_inverse=True)
-        if len(items) > 4096:  # keep the distance matrix bounded
-            per_segment = self._matrix[:, pairs].min(axis=2)
-            return per_segment.sum(axis=0).astype(np.int64)
-        inverse = inverse.reshape(pairs.shape)
-        # pdist computes in doubles; L1 distances of integer-valued
-        # columns are exact for counts < 2**53, and the round trip back
-        # to int64 below therefore loses nothing.
-        columns = self._matrix[:, items].T.astype(np.float64)  # lint: skip=bound-float-cast
-        distances = squareform(pdist(columns, metric="cityblock"))
-        supports = self._matrix[:, items].sum(axis=0)
-        a, b = inverse[:, 0], inverse[:, 1]
+    def _triangle_bounds(self, basis: np.ndarray) -> np.ndarray:
+        """Bounds of ``ItemsetTable.pairs_of(basis)``: per segment
+        ``min(p, q) = (p + q − |p − q|)/2``, and one condensed ``pdist``
+        gives every pair's ``Σ|p − q|`` in the table's row order."""
+        as_array(basis[:, None], self.n_items)  # the item-domain check
+        columns = self._matrix[:, basis].T
+        # pdist sums in doubles, exact for counts < 2**53: the round trip
+        # back to int64 loses nothing.
+        doubles = columns.astype(np.float64)  # lint: skip=bound-float-cast
+        distances = pdist(doubles, metric="cityblock").astype(np.int64)
+        supports = columns.sum(axis=1)
+        upper = ~np.tri(len(basis), dtype=bool)
         # p + q − |p − q| is even, so // 2 divides exactly: the whole
         # bound stays in integer arithmetic (Equation (1) soundness).
-        gathered = distances[a, b].astype(np.int64)
-        return (supports[a] + supports[b] - gathered) // 2
+        return (np.add.outer(supports, supports)[upper] - distances) // 2
 
     def prune(
         self, itemsets: Sequence[tuple[int, ...]], min_support: int

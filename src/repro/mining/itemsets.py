@@ -90,10 +90,12 @@ def apriori_gen(frequent_prior: Iterable[Itemset]) -> ItemsetTable:
     width = prior.shape[1]
     if not width:
         return ItemsetTable(np.zeros((0, width + 1), dtype=np.int64))
+    if width == 1:  # level 2: all pairs of L1 join, none is pruned
+        return ItemsetTable.pairs_of(prior[:, 0])
     joined = _join(prior)
     # Dropping either of the last two items gives back a joined row, so
     # only the subsets missing one of the first k − 2 items need a test.
-    if width > 1 and len(joined):
+    if len(joined):
         subsets = [np.delete(joined, j, axis=1) for j in range(width - 1)]
         prior_keys, *subset_keys = _row_keys(prior, subsets)
         keep = np.ones(len(joined), dtype=bool)

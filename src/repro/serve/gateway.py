@@ -81,6 +81,7 @@ _REASONS = {
     408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -111,6 +112,17 @@ def _parse_head(raw: bytes) -> tuple[str, str, dict[str, str]] | None:
         key, _, value = line.partition(":")
         headers[key.strip().lower()] = value.strip()
     return parts[0].upper(), parts[1], headers
+
+
+async def _read_head(reader: asyncio.StreamReader, got: bytearray) -> bytes:
+    """One ``\\r\\n\\r\\n``-terminated request head, or ``b""`` at a
+    clean end of stream. *got* receives the first byte as soon as it
+    arrives, so a timed-out caller can tell a broken-off head from an
+    idle connection."""
+    got += await reader.read(1)
+    if not got:
+        return b""
+    return bytes(got) + await reader.readuntil(b"\r\n\r\n")
 
 
 def _load_ossm_artifact(data: bytes) -> OSSM:
@@ -292,38 +304,43 @@ class Gateway:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """One keep-alive connection: loop requests until close/idle."""
+        """One keep-alive connection: loop requests until close/idle.
+
+        A clean close or an idle timeout between requests ends the
+        connection silently; a request broken off part-way gets a typed
+        rejection (see :meth:`_reject`) before the close.
+        """
         try:
             while True:
+                got = bytearray()
                 try:
                     raw = await asyncio.wait_for(
-                        reader.readuntil(b"\r\n\r\n"), _REQUEST_TIMEOUT
+                        _read_head(reader, got), _REQUEST_TIMEOUT
                     )
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    asyncio.TimeoutError,
-                ):
+                except asyncio.LimitOverrunError:
+                    await self._reject(writer, 431, b"header too large\n")
+                    return
+                except asyncio.TimeoutError:
+                    if got:
+                        await self._reject(writer, 408, b"head timed out\n")
+                    return
+                except asyncio.IncompleteReadError:
+                    await self._reject(writer, 400, b"truncated head\n")
+                    return
+                if not raw:
                     return
                 head = _parse_head(raw)
                 if head is None:
-                    await self._respond(
-                        writer,
-                        (400, _TEXT, b"bad request\n", {}),
-                        keep_alive=False,
-                    )
+                    await self._reject(writer, 400, b"bad request\n")
                     return
                 method, path, headers = head
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    length = -1
-                if length < 0 or length > _MAX_BODY:
-                    await self._respond(
-                        writer,
-                        (413, _TEXT, b"payload too large\n", {}),
-                        keep_alive=False,
-                    )
+                declared = headers.get("content-length", "0")
+                if not (declared.isascii() and declared.isdigit()):
+                    await self._reject(writer, 400, b"bad content-length\n")
+                    return
+                length = int(declared)
+                if length > _MAX_BODY:
+                    await self._reject(writer, 413, b"payload too large\n")
                     return
                 body = b""
                 if length:
@@ -331,10 +348,11 @@ class Gateway:
                         body = await asyncio.wait_for(
                             reader.readexactly(length), _REQUEST_TIMEOUT
                         )
-                    except (
-                        asyncio.IncompleteReadError,
-                        asyncio.TimeoutError,
-                    ):
+                    except asyncio.TimeoutError:
+                        await self._reject(writer, 408, b"body timed out\n")
+                        return
+                    except asyncio.IncompleteReadError:
+                        await self._reject(writer, 400, b"truncated body\n")
                         return
                 keep_alive = (
                     headers.get("connection", "keep-alive").lower()
@@ -357,6 +375,18 @@ class Gateway:
                 await writer.wait_closed()
             except (ConnectionError, BrokenPipeError):
                 pass
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, status: int, message: bytes
+    ) -> None:
+        """Answer a malformed or broken-off request and count it under
+        ``serve.gateway.rejected.<status>`` (400, 408, 413 or 431)."""
+        metrics = self._active_registry()
+        if metrics.enabled:
+            metrics.inc(f"serve.gateway.rejected.{status}")
+        await self._respond(
+            writer, (status, _TEXT, message, {}), keep_alive=False
+        )
 
     async def _respond(
         self,

@@ -8,7 +8,7 @@ rule and the runtime stay in agreement:
 * hash tree: ``_leaves_by_id`` is initialised eagerly (the old
   ``getattr(self, "_leaves_by_id", {})`` default silently returned no
   leaves for trees built before the attribute existed);
-* OSSM pair bounds: the pdist fast path stays in integer arithmetic
+* OSSM pair bounds: the pdist triangle path stays in integer arithmetic
   and agrees exactly with the generic Equation (1) evaluation;
 * chained constraint pruner: ``candidate_bounds`` delegates to the
   wrapped support pruner instead of inheriting the protocol's ``None``
@@ -27,6 +27,7 @@ from repro.data import PagedDatabase
 from repro.mining import HashTreeCounter, SubsetCounter
 from repro.mining.constraints import MaxSize, _ChainedPruner, _ConstraintPruner
 from repro.mining.counting import TidsetCounter
+from repro.mining.itemsets import apriori_gen
 from repro.mining.pruning import OSSMPruner
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -69,10 +70,11 @@ class TestPairBoundIntegerPath:
         rng = np.random.default_rng(5)
         matrix = rng.integers(0, 1000, size=(8, 30)).astype(np.int64)
         ossm = OSSM(matrix)
-        pairs = np.array(list(combinations(range(30), 2)), dtype=np.int64)
+        table = apriori_gen([(item,) for item in range(30)])
+        assert table.basis is not None  # the pdist triangle path
 
-        fast = ossm._pair_bounds(pairs)
-        generic = matrix[:, pairs].min(axis=2).sum(axis=0)
+        fast = ossm.upper_bounds(table)
+        generic = matrix[:, table.array].min(axis=2).sum(axis=0)
 
         assert np.issubdtype(fast.dtype, np.integer)
         assert np.array_equal(fast, generic)

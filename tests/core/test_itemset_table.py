@@ -74,6 +74,21 @@ class TestItemsetTable:
     def test_pickle_round_trip(self, table):
         assert pickle.loads(pickle.dumps(table)) == TUPLES
 
+    def test_pairs_of_is_the_upper_triangle(self):
+        basis = np.array([2, 5, 5, 7])
+        table = ItemsetTable.pairs_of(basis)
+        assert table == [(2, 5), (2, 5), (2, 7), (5, 5), (5, 7), (5, 7)]
+        assert table.basis.tolist() == [2, 5, 5, 7]
+        basis[0] = 9  # the table keeps its own read-only copy
+        assert table.basis[0] == 2 and table[0] == (2, 5)
+        with pytest.raises(ValueError):
+            table.basis[0] = 9
+        assert ItemsetTable.pairs_of(np.array([4])) == []
+        assert ItemsetTable(table.array).basis is None
+        assert table[1:].basis is None and table[:].basis is None
+        assert table.compress(np.ones(6, dtype=bool)).basis is None
+        assert pickle.loads(pickle.dumps(table)).basis.tolist() == [2, 5, 5, 7]
+
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             ItemsetTable(np.arange(3))

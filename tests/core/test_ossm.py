@@ -156,7 +156,7 @@ class TestBound:
         ).tolist()
 
     def test_pair_fast_path_matches_scalar(self):
-        """The scipy cityblock fast path must equal the direct min-sum."""
+        """A plain pair list (the gather path) equals the direct min-sum."""
         rng = np.random.default_rng(3)
         matrix = rng.integers(0, 40, (7, 30)).astype(np.int64)
         ossm = OSSM(matrix)
@@ -165,7 +165,7 @@ class TestBound:
         assert batch.tolist() == [ossm.upper_bound(p) for p in pairs]
 
     def test_pair_wide_domain_fallback(self):
-        """Beyond the 4096-unique-item guard, the generic path runs."""
+        """Sparse pairs over a 5 000-item domain take the blocked gather."""
         rng = np.random.default_rng(4)
         matrix = rng.integers(0, 5, (3, 5000)).astype(np.int64)
         ossm = OSSM(matrix)

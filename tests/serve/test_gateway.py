@@ -15,8 +15,10 @@ import pytest
 
 from repro.core import OSSM, extend_ossm
 from repro.data import generate_quest
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultPlan, FaultRule, use_faults
 from repro.serve import Gateway, TenantQuota, TenantRegistry
+from repro.serve import gateway as gateway_module
 
 from .conftest import N_ITEMS
 
@@ -77,6 +79,29 @@ def artifact(ossm, tmp_path):
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+async def raw_exchange(gateway, payload, half_close=False):
+    """Send raw bytes; return everything read until the gateway closes."""
+    reader, writer = await asyncio.open_connection(
+        gateway.host, gateway.port
+    )
+    writer.write(payload)
+    await writer.drain()
+    if half_close:
+        writer.write_eof()
+    response = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return response
+
+
+def rejections(registry):
+    return {
+        name: count
+        for name, count in registry.snapshot()["counters"].items()
+        if name.startswith("serve.gateway.rejected.")
+    }
 
 
 class TestUploadRoute:
@@ -504,6 +529,20 @@ class TestHttpPlumbing:
 
         run(main())
 
+    def test_oversized_content_length_is_counted(self):
+        registry = MetricsRegistry()
+
+        async def main():
+            async with Gateway(registry=registry) as gateway:
+                return await raw_exchange(
+                    gateway,
+                    b"PUT /v1/tenants/a/ossm HTTP/1.1\r\n"
+                    b"Content-Length: 999999999999\r\n\r\n",
+                )
+
+        assert run(main()).startswith(b"HTTP/1.1 413 ")
+        assert rejections(registry) == {"serve.gateway.rejected.413": 1}
+
     def test_delete_then_404(self, ossm):
         async def main():
             async with Gateway() as gateway:
@@ -519,6 +558,94 @@ class TestHttpPlumbing:
                 assert status == 404
 
         run(main())
+
+
+class TestTypedRejections:
+    """A request broken off part-way gets a typed, counted rejection;
+    a clean close or an idle keep-alive connection closes silently."""
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "_REQUEST_TIMEOUT", 0.2)
+
+    def exchange(self, payload, half_close=False):
+        registry = MetricsRegistry()
+
+        async def main():
+            async with Gateway(registry=registry) as gateway:
+                return await raw_exchange(gateway, payload, half_close)
+
+        return run(main()), rejections(registry)
+
+    def test_oversized_head_is_431(self):
+        # No terminator within the stream reader's 64 KiB limit.
+        response, counted = self.exchange(
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+        )
+        assert response.startswith(b"HTTP/1.1 431 ")
+        assert counted == {"serve.gateway.rejected.431": 1}
+
+    def test_partial_head_times_out_with_408(self):
+        response, counted = self.exchange(b"GET /health HTTP/1.1\r\nHo")
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert counted == {"serve.gateway.rejected.408": 1}
+
+    def test_partial_body_times_out_with_408(self):
+        response, counted = self.exchange(
+            b"POST /v1/tenants/a/bounds HTTP/1.1\r\n"
+            b"Content-Length: 10\r\n\r\nabc"
+        )
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert counted == {"serve.gateway.rejected.408": 1}
+
+    def test_short_body_is_400(self):
+        response, counted = self.exchange(
+            b"POST /v1/tenants/a/bounds HTTP/1.1\r\n"
+            b"Content-Length: 10\r\n\r\nabc",
+            half_close=True,
+        )
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert counted == {"serve.gateway.rejected.400": 1}
+
+    def test_truncated_head_is_400(self):
+        response, counted = self.exchange(
+            b"GET /health HTTP/1.1\r\n", half_close=True
+        )
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert counted == {"serve.gateway.rejected.400": 1}
+
+    @pytest.mark.parametrize("declared", [b"ten", b"-5", b"1_0", b"+3"])
+    def test_malformed_content_length_is_400(self, declared):
+        response, counted = self.exchange(
+            b"POST /v1/tenants/a/bounds HTTP/1.1\r\n"
+            b"Content-Length: " + declared + b"\r\n\r\n"
+        )
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert counted == {"serve.gateway.rejected.400": 1}
+
+    def test_clean_close_and_idle_timeout_stay_silent(self):
+        assert self.exchange(b"", half_close=True) == (b"", {})
+        # Nothing sent: the read deadline passes with no bytes read.
+        assert self.exchange(b"") == (b"", {})
+
+    def test_idle_after_a_served_request_stays_silent(self, ossm):
+        registry = MetricsRegistry()
+
+        body = b'{"itemset": [1]}'
+
+        async def main():
+            async with Gateway(registry=registry) as gateway:
+                gateway.tenants.create("acme", ossm)
+                return await raw_exchange(
+                    gateway,
+                    b"POST /v1/tenants/acme/bounds HTTP/1.1\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+                )
+
+        response = run(main())
+        assert response.startswith(b"HTTP/1.1 200 ")
+        assert response.count(b"HTTP/1.1") == 1
+        assert rejections(registry) == {}
 
 
 class TestReadinessAndDrain:
