@@ -90,9 +90,6 @@ class ResourceSpec:
     kind: str
     #: Method names that release the resource (any one suffices).
     release_methods: frozenset[str]
-    #: For factories returning tuples, which element is the resource
-    #: (``None`` = the return value itself).
-    tuple_index: int | None = None
 
 
 #: The acquires-resource annotation set: callables (matched by their
@@ -102,12 +99,6 @@ class ResourceSpec:
 RESOURCE_SPECS: dict[str, ResourceSpec] = {
     "SharedMemory": ResourceSpec(
         "shared-memory segment", frozenset({"close", "unlink"})
-    ),
-    "publish_int64": ResourceSpec(
-        "shared-memory segment", frozenset({"close", "unlink"})
-    ),
-    "attach_int64": ResourceSpec(
-        "shared-memory handle", frozenset({"close"}), tuple_index=1
     ),
     "WorkerPool": ResourceSpec(
         "worker pool", frozenset({"close", "kill"})
@@ -429,17 +420,7 @@ def _classify_stmt(
             and len(stmt.targets) == 1
         ):
             target = stmt.targets[0]
-            if spec.tuple_index is not None and isinstance(
-                target, ast.Tuple
-            ):
-                element = (
-                    target.elts[spec.tuple_index]
-                    if spec.tuple_index < len(target.elts)
-                    else None
-                )
-                if isinstance(element, ast.Name):
-                    usage, variable = "assigned", element.id
-            elif isinstance(target, ast.Name):
+            if isinstance(target, ast.Name):
                 usage, variable = "assigned", target.id
             elif isinstance(target, ast.Attribute):
                 # Ownership handed to an object (self._pool = ...);

@@ -39,7 +39,6 @@ DEFAULT_BOUND_MODULES: tuple[str, ...] = (
     "core/ossm.py",
     "core/generalized.py",
     "core/loss.py",
-    "parallel/ossm.py",
     # The bitmap engine's supports and segment matrix feed Equation (1)
     # directly; any float creeping into its reduces would unsound them.
     "mining/bitmap.py",

@@ -7,7 +7,7 @@ classes of state travel badly across that boundary:
 * **module-level mutable state** — a dict/list/set populated in the
   parent is a stale snapshot under ``fork`` and *empty* under ``spawn``.
   The house pattern is an *initializer* that rebinds (or clears and
-  refills) the global inside each worker (``init_bound_map``); a
+  refills) the global inside each worker (``_supervised_init``); a
   worker task reading a module global that no initializer manages is
   reading parent memory by accident (``fork-module-state``).
 * **RNG objects** — a module-level ``random.Random()`` /

@@ -68,7 +68,7 @@ DEFAULT_HOT_MODULES: tuple[str, ...] = (
     # Injection points sit inside the level loop and the task-wrap
     # path, so their telemetry must be guarded like any other hot code.
     "resilience/faults.py",
-    "resilience/breaker.py",
+    "resilience/backoff.py",
 )
 
 #: Method names that record telemetry; a call to one of these (or to a

@@ -183,9 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending", type=int, default=1024)
     serve.add_argument("--timeout", type=float, default=None,
                        help="per-batch timeout in seconds")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="worker processes for batch evaluation "
-                            "(0 = serial)")
     serve.add_argument("--quiet", action="store_true",
                        help="print only the summary line")
     serve.add_argument("--slo-target", type=float, default=None,
@@ -470,7 +467,6 @@ def _cmd_serve_gateway(args: argparse.Namespace, ossm: OSSM) -> int:
     registry_kwargs: dict[str, object] = dict(
         max_pending_total=args.max_pending,
         default_quota=quota,
-        workers=args.workers or None,
         cache_size=args.cache_size,
         timeout=args.timeout,
         slo_target=args.slo_target,
@@ -572,7 +568,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         max_pending=args.max_pending,
         timeout=args.timeout,
-        workers=args.workers or None,
         slo_target=args.slo_target,
     )
 

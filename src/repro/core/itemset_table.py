@@ -94,6 +94,13 @@ class ItemsetTable(Sequence[Itemset]):
         table._basis = basis
         return table
 
+    def __reduce__(self) -> tuple[object, tuple[np.ndarray]]:
+        # Unpickled arrays come back writable; the constructors
+        # re-freeze them, and a pairs table is rebuilt from its basis.
+        if self._basis is not None:
+            return ItemsetTable.pairs_of, (self._basis,)
+        return ItemsetTable, (self._array,)
+
     @property
     def array(self) -> np.ndarray:
         """The read-only C-contiguous ``(n, k)`` int64 array."""

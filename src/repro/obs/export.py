@@ -201,7 +201,7 @@ class OpsServer:
             payload: dict[str, Any] = {"status": "ok"}
             if self._service is not None:
                 stats = self._service.stats()
-                for key in ("epoch", "pending", "parallel_healthy"):
+                for key in ("epoch", "pending"):
                     if key in stats:
                         payload[key] = stats[key]
             return 200, "application/json", json.dumps(payload) + "\n"

@@ -7,12 +7,10 @@ differential harness that proves it on every build.
 * :class:`~repro.parallel.threads.ThreadedBitmapCounter` — the
   ``workers=`` counting path: bitmap AND+popcount over word-column
   thread shards, summed in int64.
-* :func:`~repro.parallel.ossm.parallel_upper_bounds` — chunk-parallel
-  Equation (1) evaluation, used by the serve pool.
 * :class:`~repro.parallel.pool.SupervisedPool` /
   :class:`~repro.parallel.pool.WorkerPool` — the process pools behind
-  DHP's chunk passes, Partition's phase 1 and the serve pool (payload
-  shipped once per worker, shared-memory candidate tables).
+  DHP's chunk passes and Partition's phase 1 (payload shipped once per
+  worker).
 * :class:`~repro.parallel.plan.ShardPlan` — contiguous cut points;
   :func:`~repro.parallel.plan.resolve_workers` — the ``workers=`` /
   ``REPRO_WORKERS`` knob.
@@ -20,13 +18,11 @@ differential harness that proves it on every build.
 
 from __future__ import annotations
 
-from .ossm import parallel_upper_bounds
 from .plan import ShardPlan, resolve_workers
 from .pool import SupervisedPool, WorkerPool
 from .threads import ThreadedBitmapCounter, ThreadShardPlanner
 
 __all__ = [
-    "parallel_upper_bounds",
     "ShardPlan",
     "ThreadedBitmapCounter",
     "ThreadShardPlanner",

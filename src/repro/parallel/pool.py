@@ -1,30 +1,24 @@
 """Worker-process machinery for the chunk-parallel passes.
 
 Everything process-related lives here so its callers (DHP's chunk
-passes, Partition's phase 1, the serve pool's Equation (1) chunks)
-stay free of pool plumbing:
+passes, Partition's phase 1) stay free of pool plumbing:
 
 * :class:`WorkerPool` — a ``ProcessPoolExecutor`` whose workers hold
-  one immutable payload (e.g. an OSSM matrix). Under the ``fork``
-  start method the payload is inherited by reference at worker
-  creation — zero serialization; under ``spawn`` it is pickled once
-  per worker process, never per task.
+  an optional immutable payload. Under the ``fork`` start method the
+  payload is inherited by reference at worker creation — zero
+  serialization; under ``spawn`` it is pickled once per worker
+  process, never per task.
 * :class:`SupervisedPool` — a :class:`WorkerPool` with crash/hang
   supervision and whole-batch retry.
-* shared-memory transport for the candidate table: candidates of one
-  cardinality form an ``n × k`` **int64** matrix (integer support
-  arithmetic only — the same discipline the bound-soundness lint
-  enforces), published once per evaluation call and attached
-  read-only by every worker.
 * the fan-out telemetry helpers: one ``parallel.shard`` span per shard
   (worker-measured wall time) plus the ``parallel.*`` timers and the
   fan-out overhead counter, all through the existing :mod:`repro.obs`
   seam.
 
 Worker functions are module-level (picklable by reference) and return
-plain ``(index, int64 vector, seconds)`` tuples, so reductions in the
-parent are explicit and exact: per-chunk bounds are concatenated in
-chunk order. No float ever touches a support value.
+plain tuples ending in the worker-measured seconds, so reductions in
+the parent are explicit and exact. No float ever touches a support
+value.
 """
 
 from __future__ import annotations
@@ -42,12 +36,8 @@ from concurrent.futures import (
     wait,
 )
 from contextlib import contextmanager
-from multiprocessing import shared_memory
 from typing import Any, Callable
 
-import numpy as np
-
-from ..core.ossm import OSSM
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.trace import trace
@@ -57,11 +47,7 @@ __all__ = [
     "WorkerPool",
     "SupervisedPool",
     "plain_pool",
-    "publish_int64",
-    "attach_int64",
     "record_fanout",
-    "bounds_chunk",
-    "init_bound_map",
     "TASK_DEADLINE_ENV",
 ]
 
@@ -75,18 +61,6 @@ _DEFAULT_TASK_DEADLINE = 60.0
 _DEFAULT_MAX_REBUILDS = 3
 #: Supervisor poll interval while a batch is in flight.
 _POLL_INTERVAL = 0.05
-
-# -- worker-side state -------------------------------------------------------
-
-#: OSSM reconstructed in this worker (set by :func:`init_bound_map`).
-_BOUND_MAP: OSSM | None = None
-
-
-def init_bound_map(matrix: np.ndarray) -> None:
-    """Pool initializer: rebuild the OSSM from its support matrix."""
-    global _BOUND_MAP
-    _BOUND_MAP = OSSM(matrix)
-
 
 # -- worker-side telemetry ----------------------------------------------------
 
@@ -187,79 +161,6 @@ def _supervised_task(bundle: tuple[Any, ...]) -> Any:
     result = task(payload)
     _heartbeat()
     return result
-
-
-# -- shared-memory transport -------------------------------------------------
-
-
-def publish_int64(array: np.ndarray) -> shared_memory.SharedMemory:
-    """Copy an int64 array into a fresh shared-memory segment.
-
-    The caller owns the segment: ``close()`` *and* ``unlink()`` it once
-    every worker has finished. Only int64 payloads are accepted — the
-    candidate table and the OSSM matrix are integer data by contract.
-    """
-    if array.dtype != np.int64:
-        raise TypeError(f"shared arrays must be int64, got {array.dtype}")
-    if array.size == 0:
-        raise ValueError("refusing to share an empty array")
-    segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
-    try:
-        view = np.ndarray(array.shape, dtype=np.int64, buffer=segment.buf)
-        view[:] = array
-    except BaseException:
-        # The segment exists in the OS namespace the moment it is
-        # created; a failed copy must not strand it there.
-        segment.close()
-        segment.unlink()
-        raise
-    return segment
-
-
-def attach_int64(
-    name: str, shape: tuple[int, ...]
-) -> tuple[np.ndarray, shared_memory.SharedMemory]:
-    """Attach a segment published by :func:`publish_int64` (worker side).
-
-    Returns the live view and the handle; the caller must ``close()``
-    the handle (never ``unlink()`` — the parent owns the segment) after
-    copying what it needs out of the view.
-    """
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        view = np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
-    except BaseException:
-        # close() only this worker's mapping — the parent owns the
-        # segment and will unlink it.
-        segment.close()
-        raise
-    return view, segment
-
-
-# -- worker task functions ---------------------------------------------------
-
-
-def bounds_chunk(
-    payload: tuple[int, str, int, int, int, int]
-) -> tuple[int, np.ndarray, float]:
-    """Equation (1) bounds for one chunk of the shared candidate table.
-
-    Payload: ``(chunk_index, shm_name, n_candidates, k, lo, hi)``. The
-    shared table is ``n_candidates × k``; this chunk is its rows
-    ``[lo, hi)``. Uses the worker's reconstructed OSSM, so the bound
-    arithmetic is byte-for-byte the serial ``upper_bounds`` path.
-    """
-    chunk_index, shm_name, n_candidates, k, lo, hi = payload
-    start = time.perf_counter()
-    if _BOUND_MAP is None:
-        raise RuntimeError("worker missing bound map; wrong initializer")
-    view, segment = attach_int64(shm_name, (n_candidates, k))
-    try:
-        chunk = np.array(view[lo:hi], dtype=np.int64, copy=True)
-    finally:
-        segment.close()
-    bounds = _BOUND_MAP.upper_bounds(chunk)
-    return chunk_index, bounds, time.perf_counter() - start
 
 
 # -- the pool ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Thread-sharded execution for the vertical bitmap engine.
 
 This is the ``workers=`` counting path. A process pool would pay for
-fork, pickle and a shared-memory candidate transport; the bitmap
+fork and for shipping the candidates to every worker; the bitmap
 engine's kernels (gather, bitwise AND, popcount) are numpy ufunc loops
 that *release* the GIL, so threads over one shared read-only
 :class:`~repro.mining.bitmap.PackedBitmap` fan out with no
@@ -20,8 +20,7 @@ A shard that raises — including an injected ``bitmap.shard_error`` —
 poisons the whole fan-out: the counter abandons the batch and falls
 back to the serial bitmap reduction exactly once for that call, which
 is always exact. Thread shards cannot crash the interpreter the way a
-SIGKILLed worker process can, so there is no rebuild/retry machinery
-and no circuit breaker.
+SIGKILLed worker process can, so there is no rebuild/retry machinery.
 """
 
 from __future__ import annotations

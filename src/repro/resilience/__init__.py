@@ -1,4 +1,4 @@
-"""Resilience subsystem: fault injection, circuit breaking, checkpoints.
+"""Resilience subsystem: fault injection, backoff, checkpoints.
 
 The package is a *leaf*: it imports only :mod:`repro.obs`, the standard
 library, and numpy, so every other layer (parallel, mining, serve,
@@ -7,9 +7,8 @@ core, data) can depend on it without cycles. It provides:
 * deterministic seeded fault injection (:mod:`repro.resilience.faults`)
   behind ``injector.enabled`` guards — byte-identical production paths
   when off;
-* :class:`Backoff` and :class:`CircuitBreaker`
-  (:mod:`repro.resilience.breaker`) for pool rebuilds and the
-  parallel→serial degradation ladder;
+* :class:`Backoff` (:mod:`repro.resilience.backoff`) for pool
+  rebuilds;
 * atomic, checksummed artifact persistence
   (:mod:`repro.resilience.integrity`);
 * per-level mining checkpoints (:mod:`repro.resilience.checkpoint`)
@@ -18,7 +17,7 @@ core, data) can depend on it without cycles. It provides:
 See DESIGN.md §11 for the failure model these pieces implement.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, Backoff, CircuitBreaker
+from .backoff import Backoff
 from .checkpoint import CheckpointStore, mining_fingerprint
 from .errors import (
     CheckpointMismatch,
@@ -59,10 +58,6 @@ __all__ = [
     "set_injector",
     "use_faults",
     "Backoff",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "ARTIFACT_VERSION",
     "atomic_path",
     "atomic_savez",

@@ -59,7 +59,7 @@ class BatchScheduler:
     ----------
     service:
         The tenant's bound-query service; flushed batches go through
-        its ``query_batch`` (back-pressure, cache, breaker included).
+        its ``query_batch`` (back-pressure and cache included).
     max_batch:
         Largest merged batch per flush; excess requests roll into the
         next flush immediately (no extra linger).

@@ -13,40 +13,29 @@ with:
   are shed with :class:`~repro.serve.errors.Overloaded`;
 * per-request timeouts (:class:`~repro.serve.errors.QueryTimeout`) that
   abandon the *wait*, never the shared evaluation;
-* batch evaluation through
-  :func:`~repro.parallel.ossm.parallel_upper_bounds` guarded by a
-  :class:`~repro.resilience.CircuitBreaker`: one worker failure funds a
-  fresh-pool retry, a second opens the circuit and every batch takes
-  the serial Equation (1) until a timed recovery probe succeeds — the
-  answers are byte-identical either way, only the venue changes. While
-  the breaker is open the service keeps shedding excess load through
-  the ordinary ``max_pending``/:class:`Overloaded` back-pressure (the
-  serial path is slower, so the bounded pending set is what protects
-  latency).
+* batch evaluation through ``OSSM.upper_bounds``, one call per
+  itemset cardinality, retried once on failure.
 
 Evaluation runs in a thread (``asyncio.to_thread``) so the event loop
-stays responsive while numpy and the worker pool do the arithmetic.
+stays responsive while numpy does the arithmetic. A batch stays in
+this process: Equation (1) is a min-sum over the map's columns per
+itemset, far cheaper than shipping the batch to worker processes
+(EXPERIMENTS.md, "Serve pool").
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections.abc import Iterable, Sequence
 from typing import Any
-
-import numpy as np
 
 from ..core.ossm import OSSM
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..obs.quantiles import LATENCY_BUCKETS, SlidingQuantile
 from ..obs.trace import trace
-from ..parallel.ossm import parallel_upper_bounds
-from ..parallel.plan import resolve_workers
-from ..parallel.pool import WorkerPool, init_bound_map
-from ..resilience import CircuitBreaker, get_injector
+from ..resilience import get_injector
 from .cache import EpochLRUCache
 from .errors import Overloaded, QueryTimeout, ServiceClosed
 
@@ -55,10 +44,6 @@ __all__ = ["BoundQueryService", "EpochBounds", "canonical_itemset"]
 logger = get_logger(__name__)
 
 Itemset = tuple[int, ...]
-
-#: Smallest batch worth shipping to the worker pool; below this the
-#: serial numpy path wins on fixed fan-out cost (DESIGN.md §9).
-DEFAULT_PARALLEL_THRESHOLD = 64
 
 _UNSET = object()
 
@@ -110,12 +95,6 @@ class BoundQueryService:
     timeout:
         Default per-request timeout in seconds (None = wait forever);
         overridable per call.
-    workers:
-        Worker processes for batch evaluation (None or 1 = serial
-        only). The pool is created lazily and rebuilt when the map
-        changes.
-    parallel_threshold:
-        Minimum same-cardinality group size sent to the pool.
     slo_target:
         Per-request latency objective in seconds; a request slower
         than this (or shed / timed out) consumes error budget. ``None``
@@ -133,8 +112,6 @@ class BoundQueryService:
         cache_size: int = 4096,
         max_pending: int = 1024,
         timeout: float | None = None,
-        workers: int | None = None,
-        parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
         slo_target: float | None = None,
         slo_objective: float = 0.99,
     ) -> None:
@@ -142,8 +119,6 @@ class BoundQueryService:
             raise ValueError("max_pending must be >= 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive or None")
-        if parallel_threshold < 2:
-            raise ValueError("parallel_threshold must be >= 2")
         if slo_target is not None and slo_target <= 0:
             raise ValueError("slo_target must be positive or None")
         if not 0.0 < slo_objective <= 1.0:
@@ -152,19 +127,6 @@ class BoundQueryService:
         self._cache = EpochLRUCache(cache_size, epoch=ossm.epoch)
         self.max_pending = int(max_pending)
         self.timeout = timeout
-        self.parallel_threshold = int(parallel_threshold)
-        self._workers = resolve_workers(workers) if workers is not None else 1
-        # Two strikes per batch (first try + fresh-pool retry) open the
-        # breaker: parallel evaluation is then skipped entirely until
-        # the recovery window admits a probe. Replaces the old sticky
-        # _parallel_ok flag, which never re-probed.
-        self._breaker = CircuitBreaker(
-            failure_threshold=2, recovery_time=30.0, name="serve.parallel"
-        )
-        self._pool: WorkerPool | None = None
-        self._pool_map: OSSM | None = None
-        self._pool_lock = threading.Lock()
-        self._retired: list[WorkerPool] = []
         self._inflight: dict[Itemset, asyncio.Future[int]] = {}
         self._pending = 0
         self._tasks: set[asyncio.Task[None]] = set()
@@ -196,12 +158,6 @@ class BoundQueryService:
         """Itemsets currently being evaluated (the queue depth)."""
         return self._pending
 
-    @property
-    def parallel_healthy(self) -> bool:
-        """False while the pool breaker is open (failed twice on one
-        batch); flips back once a recovery probe succeeds."""
-        return self._workers > 1 and not self._breaker.is_open
-
     def stats(self) -> dict[str, Any]:
         """JSON-friendly snapshot of the service's counters."""
         latency = self._latency.snapshot()
@@ -218,9 +174,6 @@ class BoundQueryService:
             "pending": self._pending,
             "cache": self._cache.stats.as_dict(),
             "cache_entries": len(self._cache),
-            "parallel_healthy": self.parallel_healthy,
-            "breaker": self._breaker.state,
-            "workers": self._workers,
             "latency": {
                 "window_count": latency["count"],
                 "window_seconds": latency["window_seconds"],
@@ -264,13 +217,6 @@ class BoundQueryService:
         # New queries must not coalesce onto old-map evaluations; the
         # running batch keeps its own reference to the superseded dict.
         self._inflight = {}
-        with self._pool_lock:
-            if self._pool is not None:
-                self._retired.append(self._pool)
-            self._pool = None
-            self._pool_map = None
-        # A fresh map means a fresh pool; give parallelism a clean slate.
-        self._breaker.reset()
         metrics = get_registry()
         if metrics.enabled:
             metrics.inc("serve.updates")
@@ -343,21 +289,23 @@ class BoundQueryService:
         ossm = self._ossm
         inflight = self._inflight
         cache = self._cache
-        results: dict[int, int] = {}
-        waiting: dict[int, asyncio.Future[int]] = {}
-        fresh: list[Itemset] = []
-        n_hits = 0
-        for index, raw in enumerate(itemsets):
-            key = canonical_itemset(raw)
+        # Every key is validated before any future is registered: a
+        # rejected item must not strand the futures of the keys before
+        # it, onto which later queries would coalesce and hang.
+        keys = [canonical_itemset(raw) for raw in itemsets]
+        for key in keys:
             if key and key[-1] >= ossm.n_items:
                 raise ValueError(
                     f"item {key[-1]} out of range for a map over "
                     f"{ossm.n_items} items"
                 )
+        results: dict[int, int] = {}
+        waiting: dict[int, asyncio.Future[int]] = {}
+        fresh: list[Itemset] = []
+        for index, key in enumerate(keys):
             cached = cache.get(key)
             if cached is not None:
                 results[index] = cached
-                n_hits += 1
                 continue
             future = inflight.get(key)
             if future is None:
@@ -433,10 +381,10 @@ class BoundQueryService:
                         self._evaluate, ossm, keys
                     )
                 except Exception as exc:
-                    # One retry absorbs transient evaluation failures
-                    # (an injected serve.eval_error, a pool racing an
-                    # epoch swap) without failing every coalesced
-                    # waiter; a second failure is delivered below.
+                    # One retry absorbs a transient evaluation failure
+                    # (e.g. an injected serve.eval_error) without
+                    # failing every coalesced waiter; a second failure
+                    # is delivered below.
                     if metrics.enabled:
                         metrics.inc("resilience.serve.eval_retries")
                     logger.warning(
@@ -474,104 +422,16 @@ class BoundQueryService:
         if injector.enabled:
             injector.maybe_raise("serve.eval_error")
             injector.maybe_sleep("serve.latency")
-        self._drain_retired()
         out = [0] * len(keys)
         by_size: dict[int, list[int]] = {}
         for position, key in enumerate(keys):
             by_size.setdefault(len(key), []).append(position)
         for size in sorted(by_size):
             positions = by_size[size]
-            if size == 0:
-                empty_bound = ossm.upper_bound(())
-                for position in positions:
-                    out[position] = empty_bound
-                continue
-            group = [keys[position] for position in positions]
-            values = self._group_bounds(ossm, group)
+            values = ossm.upper_bounds([keys[p] for p in positions])
             for position, value in zip(positions, values):
                 out[position] = int(value)
         return out
-
-    def _group_bounds(
-        self, ossm: OSSM, group: list[Itemset]
-    ) -> np.ndarray:
-        """One same-cardinality group: pool while the breaker allows it,
-        serial otherwise — the answers are identical either way."""
-        if (
-            self._workers > 1
-            and len(group) >= self.parallel_threshold
-            and self._breaker.allow()
-        ):
-            try:
-                return self._parallel_bounds(ossm, group)
-            except Exception:
-                # Two strikes (first try + fresh-pool retry): the
-                # breaker is now open and every group degrades to the
-                # serial path — always exact — until a recovery probe.
-                metrics = get_registry()
-                if metrics.enabled:
-                    metrics.inc("serve.fallbacks")
-                logger.warning(
-                    "worker pool failed twice; serving serially",
-                    exc_info=True,
-                )
-        return ossm.upper_bounds(group)
-
-    def _parallel_bounds(
-        self, ossm: OSSM, group: list[Itemset]
-    ) -> np.ndarray:
-        """Pool evaluation with one retry on a fresh pool.
-
-        Each pool failure lands on the breaker: the first strike funds
-        the in-place retry, the second opens the circuit.
-        """
-        with self._pool_lock:
-            pool = self._ensure_pool(ossm)
-        try:
-            bounds = parallel_upper_bounds(ossm, group, pool=pool)
-        except Exception:
-            self._breaker.record_failure()
-            # A worker died (or the pool was retired under us); retry
-            # once on a rebuilt pool before giving up on parallelism.
-            with self._pool_lock:
-                if self._pool is pool:
-                    self._pool = None
-                    self._pool_map = None
-                self._retired.append(pool)
-                fresh_pool = self._ensure_pool(ossm)
-            metrics = get_registry()
-            if metrics.enabled:
-                metrics.inc("serve.retries")
-            try:
-                bounds = parallel_upper_bounds(
-                    ossm, group, pool=fresh_pool
-                )
-            except Exception:
-                self._breaker.record_failure()
-                raise
-        self._breaker.record_success()
-        return bounds
-
-    def _ensure_pool(self, ossm: OSSM) -> WorkerPool:
-        """The pool bound to *ossm*'s matrix; caller holds the lock."""
-        if self._pool is not None and self._pool_map is ossm:
-            return self._pool
-        if self._pool is not None:
-            self._retired.append(self._pool)
-        self._pool = WorkerPool(
-            self._workers, init_bound_map, np.asarray(ossm.matrix)
-        )
-        self._pool_map = ossm
-        return self._pool
-
-    def _drain_retired(self) -> None:
-        """Close pools retired by updates/rebuilds (worker thread)."""
-        while True:
-            with self._pool_lock:
-                if not self._retired:
-                    return
-                pool = self._retired.pop()
-            pool.close()
 
     # -- metrics ---------------------------------------------------------
 
@@ -587,19 +447,10 @@ class BoundQueryService:
     # -- lifecycle -------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Drain in-flight batches and release every worker pool."""
+        """Refuse new queries and drain in-flight batches."""
         self._closed = True
         if self._tasks:
             await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
-        with self._pool_lock:
-            pools = list(self._retired)
-            self._retired.clear()
-            if self._pool is not None:
-                pools.append(self._pool)
-                self._pool = None
-                self._pool_map = None
-        for pool in pools:
-            await asyncio.to_thread(pool.close)
 
     async def __aenter__(self) -> "BoundQueryService":
         return self

@@ -2,7 +2,7 @@
 
 One box serves many tenants, each with its own OSSM, its own
 :class:`~repro.serve.service.BoundQueryService` (cache, coalescing,
-back-pressure, breaker), its own admission-controlled batch scheduler
+back-pressure), its own admission-controlled batch scheduler
 (:class:`~repro.serve.admission.BatchScheduler`), and its own quota.
 :class:`TenantRegistry` owns the mapping and the two cross-tenant
 invariants:
@@ -277,7 +277,7 @@ class TenantRegistry:
         ``max_pending_share × max_pending_total`` of it.
     default_quota:
         Quota applied when :meth:`create` is not given one.
-    workers / cache_size / timeout / slo_target / slo_objective:
+    cache_size / timeout / slo_target / slo_objective:
         Defaults forwarded to every tenant's
         :class:`~repro.serve.service.BoundQueryService` (same names as
         its constructor).
@@ -300,7 +300,6 @@ class TenantRegistry:
         *,
         max_pending_total: int = 4096,
         default_quota: TenantQuota | None = None,
-        workers: int | None = None,
         cache_size: int = 4096,
         timeout: float | None = None,
         slo_target: float | None = None,
@@ -314,7 +313,6 @@ class TenantRegistry:
             raise ValueError("max_pending_total must be >= 1")
         self.max_pending_total = int(max_pending_total)
         self.default_quota = default_quota or TenantQuota()
-        self.workers = workers
         self.cache_size = int(cache_size)
         self.timeout = timeout
         self.slo_target = slo_target
@@ -335,7 +333,6 @@ class TenantRegistry:
         ossm: OSSM,
         quota: TenantQuota,
         cache_size: int | None,
-        workers: int | None,
     ) -> Tenant:
         """Assemble a tenant's serving stack (no registration, no WAL)."""
         max_pending = max(
@@ -346,7 +343,6 @@ class TenantRegistry:
             cache_size=self.cache_size if cache_size is None else cache_size,
             max_pending=max_pending,
             timeout=self.timeout,
-            workers=self.workers if workers is None else workers,
             slo_target=self.slo_target,
             slo_objective=self.slo_objective,
         )
@@ -382,7 +378,6 @@ class TenantRegistry:
         *,
         quota: TenantQuota | None = None,
         cache_size: int | None = None,
-        workers: int | None = None,
     ) -> Tenant:
         """Provision *name* serving *ossm*; rejects duplicates.
 
@@ -399,7 +394,7 @@ class TenantRegistry:
                 f"tenant {name!r} already exists; PUT a new map to "
                 "replace what it serves"
             )
-        tenant = self._build_tenant(name, ossm, quota, cache_size, workers)
+        tenant = self._build_tenant(name, ossm, quota, cache_size)
         if self.store is not None:
             relpath = self.store.save_artifact(name, ossm)
             self.store.record_create(
@@ -501,7 +496,7 @@ class TenantRegistry:
                 else registry.default_quota
             )
             registry._install(
-                registry._build_tenant(name, ossm, quota, None, None)
+                registry._build_tenant(name, ossm, quota, None)
             )
             metrics = get_registry()
             if metrics.enabled:

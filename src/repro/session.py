@@ -75,12 +75,13 @@ class Session:
     Parameters
     ----------
     workers:
-        Default worker count forwarded to mining and serving (None =
-        serial). Mining follows Apriori's ``workers=`` rule: counting
-        fans out over bitmap thread shards (the default engine when
-        workers are given) and any other named engine counts serially;
-        DHP's chunk passes, Partition's phase 1 and the serve pool run
-        on this many worker processes.
+        Default worker count forwarded to mining (None = serial).
+        Mining follows Apriori's ``workers=`` rule: counting fans out
+        over bitmap thread shards (the default engine when workers are
+        given) and any other named engine counts serially; DHP's chunk
+        passes and Partition's phase 1 run on this many worker
+        processes. Serving always evaluates in the service's own
+        process.
     page_size:
         Page granularity used when the collection is paged for
         segmentation.
@@ -245,8 +246,6 @@ class Session:
         cache_size: int = 4096,
         max_pending: int = 1024,
         timeout: float | None = None,
-        workers: int | None = None,
-        parallel_threshold: int | None = None,
         slo_target: float | None = None,
         slo_objective: float = 0.99,
     ) -> BoundQueryService:
@@ -257,18 +256,13 @@ class Session:
         :meth:`extend` can push epoch-advanced maps into it and
         :meth:`close` can release it.
         """
-        kwargs: dict[str, Any] = {}
-        if parallel_threshold is not None:
-            kwargs["parallel_threshold"] = parallel_threshold
         service = BoundQueryService(
             self.ossm,
             cache_size=cache_size,
             max_pending=max_pending,
             timeout=timeout,
-            workers=self.workers if workers is None else workers,
             slo_target=slo_target,
             slo_objective=slo_objective,
-            **kwargs,
         )
         self._services.append(service)
         return service
@@ -284,7 +278,7 @@ class Session:
     def close(self) -> None:
         """Close every service this session handed out.
 
-        Service teardown is async (worker pools close off-loop), so
+        Service teardown is async (it drains in-flight batches), so
         this synchronous wrapper spins a private event loop. Inside a
         running loop, ``await session.aclose()`` instead.
         """

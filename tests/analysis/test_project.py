@@ -124,7 +124,7 @@ class TestResilienceHierarchy:
 class TestAcquireClassification:
     SOURCE = (
         "from multiprocessing import shared_memory\n"
-        "from repro.parallel.pool import WorkerPool, attach_int64\n"
+        "from repro.parallel.pool import WorkerPool\n"
         "def assigned(n):\n"
         "    seg = shared_memory.SharedMemory(create=True, size=n)\n"
         "    return seg\n"
@@ -133,9 +133,6 @@ class TestAcquireClassification:
         "def managed(n):\n"
         "    with WorkerPool(2) as pool:\n"
         "        return pool\n"
-        "def unpacked(name, shape):\n"
-        "    view, handle = attach_int64(name, shape)\n"
-        "    return view\n"
         "class Holder:\n"
         "    def bind(self, n):\n"
         "        self._pool = WorkerPool(n)\n"
@@ -151,8 +148,4 @@ class TestAcquireClassification:
         assert sites["assigned"].variable == "seg"
         assert sites["dropped"].usage == "dropped"
         assert sites["managed"].usage == "with"
-        # attach_int64 returns (view, handle): the handle is the
-        # resource (tuple_index=1).
-        assert sites["unpacked"].usage == "assigned"
-        assert sites["unpacked"].variable == "handle"
         assert sites["bind"].usage == "self"

@@ -149,29 +149,3 @@ class TestDroppedAndCmOnly:
             "        return pool.map(work, payloads)\n"
         )
         assert not lint(source).failed
-
-
-class TestTupleUnpacking:
-    def test_attach_handle_must_be_closed(self):
-        source = (
-            "from repro.parallel.pool import attach_int64\n"
-            "def f(name, shape):\n"
-            "    view, handle = attach_int64(name, shape)\n"
-            "    total = int(view.sum())\n"
-            "    handle.close()\n"
-            "    return total\n"
-        )
-        # view.sum() can raise before handle.close(): a leak.
-        assert rules_of(lint(source)) == {"resource-leak"}
-
-    def test_attach_with_try_finally_is_clean(self):
-        source = (
-            "from repro.parallel.pool import attach_int64\n"
-            "def f(name, shape):\n"
-            "    view, handle = attach_int64(name, shape)\n"
-            "    try:\n"
-            "        return int(view.sum())\n"
-            "    finally:\n"
-            "        handle.close()\n"
-        )
-        assert not lint(source).failed

@@ -72,7 +72,25 @@ class TestItemsetTable:
         assert source[0, 0] == 1
 
     def test_pickle_round_trip(self, table):
-        assert pickle.loads(pickle.dumps(table)) == TUPLES
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == TUPLES
+        assert not copy.array.flags.writeable
+
+    def test_pickled_pairs_table_stays_read_only_and_bounds_alike(self):
+        from repro.core.ossm import OSSM
+
+        table = ItemsetTable.pairs_of(np.array([0, 2, 3, 5]))
+        copy = pickle.loads(pickle.dumps(table))
+        assert not copy.array.flags.writeable
+        assert not copy.basis.flags.writeable
+        assert copy == table and copy.basis.tolist() == [0, 2, 3, 5]
+        ossm = OSSM(np.array([[3, 0, 2, 1, 0, 4], [1, 5, 0, 2, 2, 2]]))
+        assert np.array_equal(
+            ossm.upper_bounds(copy), ossm.upper_bounds(table)
+        )
+        assert ossm.upper_bounds(copy).tolist() == [
+            ossm.upper_bound(pair) for pair in table
+        ]
 
     def test_pairs_of_is_the_upper_triangle(self):
         basis = np.array([2, 5, 5, 7])

@@ -72,7 +72,7 @@ async def _http_get(host: str, port: int, path: str, method: str = "GET"):
 
 class FakeService:
     def stats(self):
-        return {"epoch": 7, "pending": 0, "parallel_healthy": True}
+        return {"epoch": 7, "pending": 3}
 
 
 class TestOpsServer:
@@ -109,7 +109,7 @@ class TestOpsServer:
         payload = json.loads(body)
         assert payload["status"] == "ok"
         assert payload["epoch"] == 7
-        assert payload["parallel_healthy"] is True
+        assert payload["pending"] == 3
 
     def test_stats_reports_service_and_metric_counts(self):
         async def run():

@@ -1,4 +1,4 @@
-"""Worker-pool plumbing: shared memory, ordering, and fan-out telemetry."""
+"""Worker-pool plumbing: ordering, teardown, and fan-out telemetry."""
 
 import os
 import pathlib
@@ -19,29 +19,6 @@ from repro.parallel import (
     ThreadShardPlanner,
     WorkerPool,
 )
-from repro.parallel.pool import attach_int64, publish_int64
-
-
-class TestSharedMemory:
-    def test_round_trip(self):
-        table = np.arange(12, dtype=np.int64).reshape(4, 3)
-        segment = publish_int64(table)
-        try:
-            view, handle = attach_int64(segment.name, table.shape)
-            copied = np.array(view, dtype=np.int64, copy=True)
-            handle.close()
-            assert np.array_equal(copied, table)
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_rejects_non_int64(self):
-        with pytest.raises(TypeError, match="int64"):
-            publish_int64(np.ones((2, 2), dtype=np.float64))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            publish_int64(np.zeros((0, 2), dtype=np.int64))
 
 
 def _echo(payload):

@@ -1,26 +1,8 @@
-"""Backoff schedule and circuit-breaker state machine."""
+"""Backoff schedule."""
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.resilience import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    Backoff,
-    CircuitBreaker,
-)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
+from repro.resilience import Backoff
 
 
 class TestBackoff:
@@ -51,89 +33,3 @@ class TestBackoff:
             Backoff(base=0.0)
         with pytest.raises(ValueError):
             Backoff(jitter=2.0)
-
-
-class TestCircuitBreaker:
-    def _breaker(self, **kwargs):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=3, recovery_time=10.0, name="test",
-            clock=clock, **kwargs,
-        )
-        return breaker, clock
-
-    def test_closed_until_threshold(self):
-        breaker, _clock = self._breaker()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.allow()
-        assert breaker.consecutive_failures == 2
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-
-    def test_success_resets_failure_streak(self):
-        breaker, _clock = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_half_open_admits_one_probe(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow()          # the probe
-        assert not breaker.allow()      # held off until the probe reports
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_failed_probe_reopens_full_window(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        clock.advance(9.9)
-        assert not breaker.allow()
-        clock.advance(0.1)
-        assert breaker.allow()
-
-    def test_reset_force_closes(self):
-        breaker, _clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        breaker.reset()
-        assert breaker.state == CLOSED
-        assert breaker.consecutive_failures == 0
-
-    def test_transitions_emit_metrics(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            breaker, clock = self._breaker()
-            for _ in range(3):
-                breaker.record_failure()
-            clock.advance(10.0)
-            assert breaker.allow()
-            breaker.record_success()
-        counters = {
-            event: registry.counter(f"resilience.breaker.{event}").snapshot()
-            for event in ("opened", "half_open", "probes", "closed")
-        }
-        assert counters == {
-            "opened": 1, "half_open": 1, "probes": 1, "closed": 1,
-        }
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(recovery_time=0.0)

@@ -132,7 +132,17 @@ class TestNamingConsistency:
             inspect.signature(TenantRegistry.__init__).parameters
         )
         for shared in (
-            "workers", "cache_size", "timeout",
-            "slo_target", "slo_objective",
+            "cache_size", "timeout", "slo_target", "slo_objective",
         ):
             assert shared in registry_params
+
+    def test_serving_takes_no_workers_knob(self):
+        from repro.serve import TenantRegistry
+
+        for signature in (
+            inspect.signature(BoundQueryService.__init__),
+            inspect.signature(TenantRegistry.__init__),
+            inspect.signature(TenantRegistry.create),
+            inspect.signature(Session.serve),
+        ):
+            assert "workers" not in signature.parameters

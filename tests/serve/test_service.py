@@ -2,20 +2,17 @@
 
 The load-bearing properties, in rough order of importance:
 
-* every served bound — cached or not, parallel or serial — is
-  byte-identical to the serial Equation (1) value of the map being
-  served;
+* every served bound — cached or not — is byte-identical to the
+  serial Equation (1) value of the map being served;
 * no stale bound survives an epoch bump (DESIGN.md §10), including
   under interleaved query/extend traffic (hypothesis);
-* worker-pool failure degrades, never corrupts: retry once on a fresh
-  pool, then fall back to the serial path;
+* a rejected request leaves nothing behind that a later query could
+  wait on;
 * back-pressure sheds with :class:`Overloaded`, timeouts raise
   :class:`QueryTimeout` without cancelling the shared evaluation.
 """
 
 import asyncio
-import os
-import signal
 import threading
 import time
 
@@ -23,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.serve.service as service_module
 from repro.core import GreedySegmenter, extend_ossm
 from repro.data import PagedDatabase, generate_quest
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -115,6 +111,22 @@ class TestExactness:
                     await service.query((ossm.n_items,))
                 with pytest.raises(ValueError, match=">= 0"):
                     await service.query((-1,))
+
+        run(main())
+
+    @pytest.mark.parametrize("bad", [(N_ITEMS,), (-1,)])
+    def test_rejected_batch_strands_no_inflight_key(self, ossm, bad):
+        """A bad item late in a batch must not leave the earlier keys
+        registered in flight: a later query would coalesce onto a
+        future nothing resolves, and hang."""
+
+        async def main():
+            async with BoundQueryService(ossm) as service:
+                with pytest.raises(ValueError):
+                    await service.query_batch([(0, 1), bad])
+                assert service.pending == 0
+                bound = await asyncio.wait_for(service.query((0, 1)), 5.0)
+                assert bound == ossm.upper_bound((0, 1))
 
         run(main())
 
@@ -340,100 +352,6 @@ def test_no_stale_bound_under_interleaving(ops):
                     assert service.epoch == current.epoch
 
     asyncio.run(main(current))
-
-
-# -- parallel evaluation and worker failure ------------------------------
-
-
-class TestParallelPath:
-    def _batch(self, n):
-        return [(i % N_ITEMS, (i + 7) % N_ITEMS) for i in range(n)]
-
-    def test_parallel_batch_matches_serial(self, ossm):
-        batch = [s for s in self._batch(100) if len(set(s)) == 2]
-
-        async def main():
-            async with BoundQueryService(
-                ossm, workers=2, parallel_threshold=8
-            ) as service:
-                bounds = await service.query_batch(batch)
-                assert bounds == [ossm.upper_bound(s) for s in batch]
-                assert service.parallel_healthy
-
-        run(main())
-
-    def test_retry_once_recovers(self, ossm, monkeypatch):
-        real = service_module.parallel_upper_bounds
-        calls = {"n": 0}
-
-        def flaky(current, group, workers=None, pool=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("worker died")
-            return real(current, group, workers=workers, pool=pool)
-
-        monkeypatch.setattr(
-            service_module, "parallel_upper_bounds", flaky
-        )
-        batch = self._batch(40)
-
-        async def main():
-            async with BoundQueryService(
-                ossm, workers=2, parallel_threshold=8
-            ) as service:
-                bounds = await service.query_batch(batch)
-                assert bounds == [ossm.upper_bound(s) for s in batch]
-                # First attempt failed, the fresh-pool retry succeeded.
-                assert calls["n"] == 2
-                assert service.parallel_healthy
-
-        run(main())
-
-    def test_double_failure_falls_back_to_serial(self, ossm, monkeypatch):
-        def broken(current, group, workers=None, pool=None):
-            raise RuntimeError("pool is gone")
-
-        monkeypatch.setattr(
-            service_module, "parallel_upper_bounds", broken
-        )
-        batch = self._batch(40)
-
-        async def main():
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                async with BoundQueryService(
-                    ossm, workers=2, parallel_threshold=8
-                ) as service:
-                    bounds = await service.query_batch(batch)
-                    assert bounds == [ossm.upper_bound(s) for s in batch]
-                    assert not service.parallel_healthy
-            snapshot = registry.snapshot()
-            assert snapshot["counters"]["serve.fallbacks"] >= 1
-            assert snapshot["counters"]["serve.retries"] >= 1
-
-        run(main())
-
-    def test_killed_workers_mid_batch_still_exact(self, ossm):
-        """A real SIGKILL on the pool's workers: the service retries on
-        a fresh pool (or falls back serially) and stays exact."""
-        batch = self._batch(64)
-
-        async def main():
-            async with BoundQueryService(
-                ossm, workers=2, parallel_threshold=8
-            ) as service:
-                first = await service.query_batch(batch)
-                assert first == [ossm.upper_bound(s) for s in batch]
-                pool = service._pool
-                assert pool is not None
-                for pid in list(pool._executor._processes):
-                    os.kill(pid, signal.SIGKILL)
-                fresh = [(i % N_ITEMS, (i + 11) % N_ITEMS)
-                         for i in range(64)]
-                bounds = await service.query_batch(fresh)
-                assert bounds == [ossm.upper_bound(s) for s in fresh]
-
-        run(main())
 
 
 # -- observability -------------------------------------------------------

@@ -57,7 +57,7 @@ def test_key_symbols_reachable_from_top_level():
         "partition_mine", "depth_project", "gsp",
         "mine_parallel_episodes", "mine_serial_episodes",
         "OSSMPruner", "generate_rules", "recommend",
-        "parallel_upper_bounds", "Session", "make_counter",
+        "Session", "make_counter",
         "registered_engines",
         "BitmapCounter", "ThreadedBitmapCounter", "ThreadShardPlanner",
         "BoundQueryService", "EpochLRUCache", "Overloaded",
