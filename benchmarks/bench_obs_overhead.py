@@ -31,7 +31,7 @@ from repro.mining.apriori import Apriori
 from repro.mining.counting import SubsetCounter
 from repro.mining.itemsets import apriori_gen
 from repro.obs import MetricsRegistry, SlidingQuantile, use_registry
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import SupervisedPool
 
 #: Generous CI bound; the typical observed ratio is within a few
 #: percent of 1.0 (the 5% engineering target).
@@ -131,17 +131,17 @@ def test_export_plane_disabled_costs_nothing(benchmark):
     """The PR 6 export plane stays behind the no-op default.
 
     Structural, not wall-clock: with the NULL registry active a
-    WorkerPool must not wrap its tasks in the delta-shipping shim at
-    all (``forwards_metrics`` is False — workers return raw results),
+    SupervisedPool must not ship metric deltas at all
+    (``forwards_metrics`` is False — workers return raw results),
     and it must start doing so the moment a real registry is active.
     The quantile estimator is also micro-timed: it lives on the serve
     request path, so one observation must stay sub-microsecond-ish
     (generous CI bound below).
     """
-    with WorkerPool(2) as pool:
+    with SupervisedPool(2) as pool:
         assert pool.forwards_metrics is False
     with use_registry(MetricsRegistry()):
-        with WorkerPool(2) as pool:
+        with SupervisedPool(2) as pool:
             assert pool.forwards_metrics is True
 
     estimator = SlidingQuantile()

@@ -86,7 +86,7 @@ class FileContext:
 class ResourceSpec:
     """How one acquirable resource kind is released."""
 
-    #: Human label used in messages ("shared-memory segment", …).
+    #: Human label used in messages ("worker pool", …).
     kind: str
     #: Method names that release the resource (any one suffices).
     release_methods: frozenset[str]
@@ -97,12 +97,6 @@ class ResourceSpec:
 #: must release deterministically. ``open`` matches only the builtin
 #: (bare-name calls), never ``x.open(...)`` methods.
 RESOURCE_SPECS: dict[str, ResourceSpec] = {
-    "SharedMemory": ResourceSpec(
-        "shared-memory segment", frozenset({"close", "unlink"})
-    ),
-    "WorkerPool": ResourceSpec(
-        "worker pool", frozenset({"close", "kill"})
-    ),
     "SupervisedPool": ResourceSpec(
         "worker pool", frozenset({"close", "kill"})
     ),
@@ -113,7 +107,6 @@ RESOURCE_SPECS: dict[str, ResourceSpec] = {
     "open": ResourceSpec("file handle", frozenset({"close"})),
     # Context-manager factories: entering the ``with`` is what runs the
     # body at all, so a call never wrapped in one is always a defect.
-    "plain_pool": ResourceSpec("worker pool", frozenset()),
     "atomic_path": ResourceSpec("atomic artifact", frozenset()),
 }
 

@@ -17,11 +17,10 @@ classes of state travel badly across that boundary:
   an initializer argument) instead.
 
 Pass 1 of the engine indexes every worker registration —
-``WorkerPool(..., initializer=f, ...)``, ``pool.run(task, …)`` /
-``pool.submit(task, …)``, ``ProcessPoolExecutor(initializer=f)``, and
-``kwargs["initializer"] = f`` — and this checker closes the worker set
-over same-module calls, then audits each worker function's global
-reads.
+``pool.run(task, …)`` / ``pool.submit(task, …)`` / ``pool.map(task, …)``
+and ``ProcessPoolExecutor(initializer=f)`` — and this checker closes
+the worker set over same-module calls, then audits each worker
+function's global reads.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ _RNG_FACTORIES = {
     "np.random.RandomState",
 }
 
-_POOL_CLASSES = {"WorkerPool", "SupervisedPool", "ProcessPoolExecutor"}
 _SUBMIT_METHODS = {"run", "submit", "map"}
 
 
@@ -60,8 +58,6 @@ class _Registry:
             for node in ast.walk(context.tree):
                 if isinstance(node, ast.Call):
                     self._scan_call(project, path, node)
-                elif isinstance(node, ast.Assign):
-                    self._scan_assign(project, path, node)
         self._close_over_calls(project)
 
     def _scan_call(
@@ -75,11 +71,7 @@ class _Registry:
             if isinstance(func, ast.Name)
             else None
         )
-        if terminal in _POOL_CLASSES:
-            # WorkerPool(workers, initializer, payload) — positional or
-            # keyword; ProcessPoolExecutor only takes it by keyword.
-            if terminal == "WorkerPool" and len(node.args) >= 2:
-                self._add(project, path, node.args[1], self.initializers)
+        if terminal == "ProcessPoolExecutor":
             for keyword in node.keywords:
                 if keyword.arg == "initializer":
                     self._add(
@@ -91,19 +83,6 @@ class _Registry:
             and node.args
         ):
             self._add(project, path, node.args[0], self.workers)
-
-    def _scan_assign(
-        self, project: ProjectContext, path: str, node: ast.Assign
-    ) -> None:
-        # kwargs["initializer"] = _obs_init — the pool module's own
-        # indirection for composing initializers.
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.slice, ast.Constant)
-                and target.slice.value == "initializer"
-            ):
-                self._add(project, path, node.value, self.initializers)
 
     def _add(
         self,

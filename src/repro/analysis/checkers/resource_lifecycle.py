@@ -1,10 +1,10 @@
 """Resource-lifecycle checker: every acquire must reach its release.
 
-The parallel plane hands around OS-level resources — ``shared_memory``
-segments, process pools, serve/ops endpoints, file handles, ``atomic_*``
-artifacts — and PR 5's fault-injection work showed exactly how they
-escape: not on the happy path, but on the *exception* path between the
-acquiring call and the ``try`` that was supposed to protect it. The
+The program hands around OS-level resources — process pools,
+serve/ops endpoints, file handles, ``atomic_*`` artifacts — and fault
+injection showed exactly how they escape: not on the happy path, but
+on the *exception* path between the acquiring call and the ``try``
+that was supposed to protect it. The
 checker walks the acquires-resource annotations the project index
 collected (:data:`repro.analysis.base.RESOURCE_SPECS`) and asks the
 function's CFG (:mod:`repro.analysis.cfg`) one question per site: can
@@ -13,7 +13,7 @@ a release?
 
 What counts as settling the resource's fate on a path:
 
-* a release call on the tracked name (``seg.close()``, ``pool.kill()``…);
+* a release call on the tracked name (``fh.close()``, ``pool.kill()``…);
 * an *escape* — the bare name flowing somewhere else (returned, passed
   to a callee, stored on an object, captured by a nested def): ownership
   moved, the new owner is accountable;
@@ -23,9 +23,9 @@ What counts as settling the resource's fate on a path:
 
 ``with``-managed acquires and ``self.attr = acquire()`` handoffs are
 exempt up front; a call whose result is *dropped* on the floor is flagged
-unconditionally (``resource-dropped``), and context-manager-only
-factories (``plain_pool``, ``atomic_path``) called without entering them
-are flagged as ``resource-cm-only`` — the body never runs at all.
+unconditionally (``resource-dropped``), and a context-manager-only
+factory (``atomic_path``) called without entering it is flagged as
+``resource-cm-only`` — the body never runs at all.
 """
 
 from __future__ import annotations

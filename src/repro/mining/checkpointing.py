@@ -26,6 +26,7 @@ from ..data.transactions import TransactionDatabase
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..resilience import CheckpointStore, get_injector, mining_fingerprint
+from ..resilience.heartbeat import heartbeat
 from .base import LevelStats, MiningResult
 
 __all__ = ["MiningCheckpointer", "level_crash_point"]
@@ -41,7 +42,13 @@ def level_crash_point() -> None:
     nested miners — Partition's phase-1 local Apriori runs — consume
     hits too, so measure with ``injector.hits()`` when in doubt).
     Free when injection is off.
+
+    Also the per-unit heartbeat of a supervised pool worker: a task
+    that is a whole mining run stays alive while each of its units
+    finishes within the pool's hang deadline. A no-op in any other
+    process.
     """
+    heartbeat()
     injector = get_injector()
     if injector.enabled:
         injector.maybe_raise("mining.level_crash")

@@ -358,8 +358,10 @@ def make_pool(workers: int | None, n_tasks: int) -> SupervisedPool | None:
 
     Returns ``None`` — run serially — when *workers* is ``None``, when
     the resolved worker count is 1, or when there are not enough tasks
-    to split. Used by miners whose parallel passes are not
-    :class:`SupportCounter`-shaped (DHP's hash-building count passes).
+    to split; the pool never has more workers than *n_tasks*. Every
+    process fan-out goes through here: DHP's hash-building count
+    passes and Partition's phase-1 local runs, neither of which is
+    :class:`SupportCounter`-shaped.
     """
     if workers is not None and n_tasks > 1:
         # Imported on the parallel branch only: repro.parallel builds
@@ -367,7 +369,7 @@ def make_pool(workers: int | None, n_tasks: int) -> SupervisedPool | None:
         from ..parallel.plan import resolve_workers
         from ..parallel.pool import SupervisedPool
 
-        resolved = resolve_workers(workers)
+        resolved = min(resolve_workers(workers), n_tasks)
         if resolved > 1:
             return SupervisedPool(resolved, name="parallel.chunks")
     return None

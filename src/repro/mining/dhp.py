@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Sequence
+from contextlib import nullcontext
 from itertools import combinations
 
 import numpy as np
@@ -224,9 +225,9 @@ class DHP:
         """Worker pool for this run, or ``None`` for the serial path.
 
         Routed through the engine registry's
-        :func:`~repro.mining.counting.make_pool` seam — the same place
-        Apriori and Partition resolve their counters — instead of
-        importing the parallel backend ad hoc.
+        :func:`~repro.mining.counting.make_pool` seam — the one place
+        every process fan-out (this and Partition's phase 1) gets its
+        pool — instead of importing the parallel backend ad hoc.
         """
         return make_pool(self.workers, len(database))
 
@@ -372,7 +373,6 @@ class DHP:
         )
         start = time.perf_counter()
         metrics = get_registry()
-        pool = self._make_pool(database)
         ckpt = MiningCheckpointer.open(
             self.checkpoint_dir, self.resume, result.algorithm, threshold,
             database, n_buckets=self.n_buckets,
@@ -381,7 +381,10 @@ class DHP:
         )
         restored = ckpt.restored() if ckpt is not None else None
 
-        with trace(
+        # The pool is closed on every exit, a failed run's included:
+        # its worker processes must not outlive the raise.
+        pool = self._make_pool(database)
+        with nullcontext() if pool is None else pool, trace(
             "dhp.mine",
             algorithm=result.algorithm,
             min_support=threshold,
@@ -491,8 +494,6 @@ class DHP:
                     )
                 k += 1
 
-        if pool is not None:
-            pool.close()
         result.elapsed_seconds = time.perf_counter() - start
         return result
 

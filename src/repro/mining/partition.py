@@ -26,6 +26,7 @@ import math
 import os
 import time
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from ..core.ossm import OSSM
 from ..data.transactions import TransactionDatabase
@@ -36,8 +37,11 @@ from ..obs.trace import trace
 from .apriori import Apriori
 from .base import MiningResult, resolve_min_support
 from .checkpointing import MiningCheckpointer, level_crash_point
-from .counting import SupportCounter, make_counter, resolve_engine
+from .counting import SupportCounter, make_counter, make_pool, resolve_engine
 from .pruning import CandidatePruner, NullPruner, OSSMPruner
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..parallel.pool import SupervisedPool
 
 __all__ = ["Partition", "partition_mine"]
 
@@ -252,8 +256,10 @@ class Partition:
                             1, math.ceil(relative * len(part))
                         )
                         tasks.append((index, part, pruner, local_threshold))
-                    if workers > 1 and len(tasks) > 1:
-                        self._phase_one_parallel(tasks, candidates, workers)
+                    pool = make_pool(workers, len(tasks))
+                    if pool is not None:
+                        with pool:
+                            self._phase_one_parallel(tasks, candidates, pool)
                     else:
                         for index, part, pruner, local_threshold in tasks:
                             with trace(
@@ -327,19 +333,18 @@ class Partition:
         self,
         tasks: list[tuple[int, TransactionDatabase, CandidatePruner, int]],
         candidates: set[Itemset],
-        workers: int,
+        pool: SupervisedPool,
     ) -> None:
         """Fan the local mining runs out, one task per partition."""
         # Imported lazily: repro.parallel builds on repro.mining.
-        from ..parallel.pool import plain_pool, record_fanout
+        from ..parallel.pool import record_fanout
 
         payloads = [
             (part, pruner, local_threshold, self.max_level)
             for _index, part, pruner, local_threshold in tasks
         ]
         start = time.perf_counter()
-        with plain_pool(min(workers, len(payloads))) as pool:
-            results = pool.run(_mine_partition, payloads)
+        results = pool.run(_mine_partition, payloads)
         wall = time.perf_counter() - start
         timings = []
         for (index, part, _pruner, _thr), (frequent, seconds) in zip(

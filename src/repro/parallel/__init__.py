@@ -7,10 +7,9 @@ differential harness that proves it on every build.
 * :class:`~repro.parallel.threads.ThreadedBitmapCounter` — the
   ``workers=`` counting path: bitmap AND+popcount over word-column
   thread shards, summed in int64.
-* :class:`~repro.parallel.pool.SupervisedPool` /
-  :class:`~repro.parallel.pool.WorkerPool` — the process pools behind
-  DHP's chunk passes and Partition's phase 1 (payload shipped once per
-  worker).
+* :class:`~repro.parallel.pool.SupervisedPool` — the one process
+  pool, behind DHP's chunk passes and Partition's phase 1, with
+  crash/hang supervision and whole-batch retry.
 * :class:`~repro.parallel.plan.ShardPlan` — contiguous cut points;
   :func:`~repro.parallel.plan.resolve_workers` — the ``workers=`` /
   ``REPRO_WORKERS`` knob.
@@ -19,7 +18,7 @@ differential harness that proves it on every build.
 from __future__ import annotations
 
 from .plan import ShardPlan, resolve_workers
-from .pool import SupervisedPool, WorkerPool
+from .pool import SupervisedPool
 from .threads import ThreadedBitmapCounter, ThreadShardPlanner
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "ThreadShardPlanner",
     "resolve_workers",
     "SupervisedPool",
-    "WorkerPool",
 ]

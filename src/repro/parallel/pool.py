@@ -1,15 +1,12 @@
 """Worker-process machinery for the chunk-parallel passes.
 
 Everything process-related lives here so its callers (DHP's chunk
-passes, Partition's phase 1) stay free of pool plumbing:
+passes, Partition's phase 1, both through
+:func:`~repro.mining.counting.make_pool`) stay free of pool plumbing:
 
-* :class:`WorkerPool` — a ``ProcessPoolExecutor`` whose workers hold
-  an optional immutable payload. Under the ``fork`` start method the
-  payload is inherited by reference at worker creation — zero
-  serialization; under ``spawn`` it is pickled once per worker
-  process, never per task.
-* :class:`SupervisedPool` — a :class:`WorkerPool` with crash/hang
-  supervision and whole-batch retry.
+* :class:`SupervisedPool` — a ``ProcessPoolExecutor`` with crash/hang
+  supervision and whole-batch retry. Task payloads are pickled per
+  task; workers hold no parent state.
 * the fan-out telemetry helpers: one ``parallel.shard`` span per shard
   (worker-measured wall time) plus the ``parallel.*`` timers and the
   fan-out overhead counter, all through the existing :mod:`repro.obs`
@@ -27,131 +24,79 @@ import contextlib
 import multiprocessing
 import os
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Future,
     ProcessPoolExecutor,
     wait,
 )
-from contextlib import contextmanager
 from typing import Any, Callable
 
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.trace import trace
 from ..resilience import Backoff, PoolFailure, get_injector
+from ..resilience.heartbeat import heartbeat, install_heartbeat
 
 __all__ = [
-    "WorkerPool",
     "SupervisedPool",
-    "plain_pool",
     "record_fanout",
-    "TASK_DEADLINE_ENV",
 ]
 
 logger = get_logger(__name__)
 
-#: Environment knob: seconds without any task completion *or* worker
-#: heartbeat before the supervisor declares the pool hung.
-TASK_DEADLINE_ENV = "REPRO_TASK_DEADLINE"
+#: Seconds without any task completion *or* worker heartbeat before
+#: the supervisor declares the pool hung.
 _DEFAULT_TASK_DEADLINE = 60.0
 #: Pool rebuilds a single batch may consume before giving up.
 _DEFAULT_MAX_REBUILDS = 3
 #: Supervisor poll interval while a batch is in flight.
 _POLL_INTERVAL = 0.05
 
-# -- worker-side telemetry ----------------------------------------------------
+# -- worker side --------------------------------------------------------------
 
 
-def _obs_init(bundle: tuple[Any, ...]) -> None:
-    """Initializer wrapper installing this worker's metrics registry.
+def _supervised_init(
+    board: Any, slot_counter: Any, slow_delay: float, forward: bool
+) -> None:
+    """Worker initializer: install a fresh metrics registry when the
+    parent forwards telemetry, claim a heartbeat slot, then beat.
 
-    *bundle* is ``(forward, initializer, payload)``. When the parent
-    had an enabled registry at pool construction, each worker records
-    into its own fresh :class:`MetricsRegistry` — NOT the (possibly
+    The board and slot counter are shared ctypes shipped through
+    ``initargs`` (inherited under ``fork``, duplicated by the
+    multiprocessing pickler under ``spawn``). A forwarding worker
+    records into its own :class:`MetricsRegistry` — NOT the (possibly
     fork-inherited) parent registry, whose accumulated values must not
-    be double-counted — and :func:`_obs_task` ships per-task deltas
-    back. With observability off this wrapper is never installed.
+    be double-counted — and :func:`_supervised_task` ships per-task
+    deltas back.
     """
-    forward, initializer, payload = bundle
     if forward:
         set_registry(MetricsRegistry())
-    if initializer is not None:
-        initializer(payload)
-
-
-def _obs_task(bundle: tuple[Any, ...]) -> tuple[Any, dict | None]:
-    """Task wrapper returning ``(result, metrics_delta)``.
-
-    The delta is this worker's registry snapshot since the previous
-    task, captured with snapshot-and-reset so every event is shipped
-    exactly once. Tasks of a batch that fails (worker crash, hang)
-    are re-run on a rebuilt pool and only the successful attempt is
-    harvested, so retries never double-count either.
-    """
-    task, payload = bundle
-    result = task(payload)
-    registry = get_registry()
-    if registry.enabled:
-        delta = registry.snapshot()
-        registry.reset()
-        return result, delta
-    return result, None
-
-
-def _harvest(wrapped: list[Any]) -> list[Any]:
-    """Merge worker metric deltas into the active registry; unwrap."""
-    registry = get_registry()
-    results = []
-    for result, delta in wrapped:
-        if delta is not None and registry.enabled:
-            registry.merge(delta)
-        results.append(result)
-    return results
-
-
-# -- supervision: worker-side -------------------------------------------------
-
-#: Heartbeat board shared with the parent (set by :func:`_supervised_init`).
-_HB_BOARD: Any = None
-#: This worker's slot in the board.
-_HB_SLOT: int = -1
-
-
-def _heartbeat() -> None:
-    if _HB_BOARD is not None and _HB_SLOT >= 0:
-        _HB_BOARD[_HB_SLOT] = time.time()
-
-
-def _supervised_init(bundle: tuple[Any, ...]) -> None:
-    """Initializer wrapper: claim a heartbeat slot, then run the real
-    initializer. *bundle* is ``(board, slot_counter, slow_delay,
-    initializer, payload)``; the board and counter are shared ctypes
-    shipped through ``initargs`` (inherited under ``fork``, duplicated
-    by the multiprocessing pickler under ``spawn``)."""
-    global _HB_BOARD, _HB_SLOT
-    board, slot_counter, slow_delay, initializer, payload = bundle
-    _HB_BOARD = board
     with slot_counter.get_lock():
-        _HB_SLOT = slot_counter.value % len(board)
+        slot = slot_counter.value % len(board)
         slot_counter.value += 1
+    install_heartbeat(board, slot)
     if slow_delay > 0.0:
         # pool.slow_start injection, drawn once in the parent per build.
         time.sleep(slow_delay)
-    _heartbeat()
-    if initializer is not None:
-        initializer(payload)
+    heartbeat()
 
 
 def _supervised_task(bundle: tuple[Any, ...]) -> Any:
-    """Task wrapper: beat the heartbeat around the real task and apply
-    the parent-drawn fault action. *bundle* is ``(action, delay, task,
-    payload)``; ``action`` is ``None`` on every production run —
-    the parent only draws non-None under an active fault plan."""
-    action, delay, task, payload = bundle
-    _heartbeat()
+    """Task wrapper: beat the heartbeat around the real task, apply the
+    parent-drawn fault action, and ship the worker's metric delta.
+
+    *bundle* is ``(action, delay, forward, task, payload)``; ``action``
+    is ``None`` on every production run — the parent only draws
+    non-None under an active fault plan. With ``forward`` set the
+    result is ``(result, delta)``, where the delta is this worker's
+    registry snapshot since its previous task, captured with
+    snapshot-and-reset so every event is shipped exactly once; a raw
+    result otherwise.
+    """
+    action, delay, forward, task, payload = bundle
+    heartbeat()
     if action == "crash":
         # A genuine hard death: no exception, no cleanup — the parent
         # sees BrokenProcessPool exactly as with a real SIGKILL.
@@ -159,29 +104,65 @@ def _supervised_task(bundle: tuple[Any, ...]) -> Any:
     if action == "hang":
         time.sleep(delay)
     result = task(payload)
-    _heartbeat()
-    return result
+    heartbeat()
+    if not forward:
+        return result
+    registry = get_registry()
+    delta = registry.snapshot()
+    registry.reset()
+    return result, delta
 
 
-# -- the pool ----------------------------------------------------------------
+def _harvest(wrapped: list[Any]) -> list[Any]:
+    """Merge worker metric deltas into the active registry; unwrap."""
+    registry = get_registry()
+    results = []
+    for result, delta in wrapped:
+        if registry.enabled:
+            registry.merge(delta)
+        results.append(result)
+    return results
+
+
+# -- parent side --------------------------------------------------------------
 
 
 def _preferred_context() -> multiprocessing.context.BaseContext:
-    """``fork`` where the platform offers it (payloads inherit for
-    free), the platform default otherwise."""
+    """``fork`` where the platform offers it (cheap worker start), the
+    platform default otherwise."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
 
-class WorkerPool:
-    """A process pool whose workers hold one immutable payload.
+class _PoolHang(RuntimeError):
+    """Internal: the supervisor's hang deadline expired."""
 
-    The payload travels through the pool *initializer*: with the
-    ``fork`` start method workers inherit it by reference at creation
-    (no serialization at all); with ``spawn`` it is pickled once per
-    worker process — never once per task, which is what makes reusing
-    the pool across Apriori levels cheap.
+
+class SupervisedPool:
+    """A process pool with crash/hang supervision.
+
+    * every worker beats a shared heartbeat board at task start and
+      finish, and once per mining unit inside the task
+      (:mod:`repro.resilience.heartbeat`); a batch with no completion
+      *and* no heartbeat for ``deadline`` seconds is declared hung and
+      the pool is killed rather than waited on forever;
+    * a worker death (``BrokenProcessPool``) or a declared hang tears
+      the pool down, sleeps a bounded-exponential :class:`Backoff`
+      step, rebuilds the pool, and resubmits the *whole* batch — sound
+      because every task in this package is a pure function of its
+      payload;
+    * after ``max_rebuilds`` consecutive failed attempts the batch
+      raises :class:`~repro.resilience.errors.PoolFailure`.
+
+    Fault injection (``pool.worker_crash`` / ``pool.worker_hang`` /
+    ``pool.slow_start``) is drawn in the *parent* — once per attempt,
+    shipped inside the task bundle — so a ``times=1`` rule fires
+    exactly once globally instead of once per rebuilt worker.
+
+    With an enabled metrics registry at construction, each worker's
+    per-task registry delta rides home with its result and is merged
+    into the parent's registry once the batch completes.
 
     Pools hold OS processes, so lifetime is explicit: use as a context
     manager or call :meth:`close`. Dropping the last reference also
@@ -191,74 +172,70 @@ class WorkerPool:
     def __init__(
         self,
         workers: int,
-        initializer: Callable[..., None] | None = None,
-        payload: Any = None,
+        *,
+        deadline: float = _DEFAULT_TASK_DEADLINE,
+        max_rebuilds: int = _DEFAULT_MAX_REBUILDS,
+        backoff: Backoff | None = None,
+        name: str = "parallel.pool",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
+        self.name = name
+        self.deadline = deadline
+        self.max_rebuilds = max_rebuilds
+        self._backoff = backoff if backoff is not None else Backoff(seed=0)
         # Captured once at construction: whether the parent wants
-        # worker telemetry shipped back. Workers are created now, so
-        # a registry enabled *later* cannot reach them anyway.
+        # worker telemetry shipped back. A registry enabled *later*
+        # cannot reach workers built now anyway.
         self._forward_metrics = get_registry().enabled
-        kwargs: dict[str, Any] = {}
-        if self._forward_metrics or initializer is not None:
-            kwargs["initializer"] = _obs_init
-            kwargs["initargs"] = (
-                (self._forward_metrics, initializer, payload),
-            )
-        self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_preferred_context(),
-            **kwargs,
-        )
+        self._ctx = _preferred_context()
+        self._board: Any = None
+        self._executor: ProcessPoolExecutor | None = None
+        self._build()
 
     @property
     def forwards_metrics(self) -> bool:
         """Whether worker metric deltas ride back with each result."""
         return self._forward_metrics
 
-    def run(
-        self,
-        task: Callable[[Any], Any],
-        payloads: Sequence[Any],
-    ) -> list[Any]:
-        """Run *task* over *payloads*; results in payload order.
+    # -- lifecycle -------------------------------------------------------
 
-        With metrics forwarding on, each worker's per-task registry
-        delta is merged into the parent's active registry here, after
-        the whole batch succeeded.
-        """
-        futures = [self.submit(task, payload) for payload in payloads]
-        results = [future.result() for future in futures]
-        if self._forward_metrics:
-            return _harvest(results)
-        return results
+    def _build(self) -> None:
+        self._board = self._ctx.Array("d", self.workers)
+        slow_delay = 0.0
+        injector = get_injector()
+        if injector.enabled:
+            rule = injector.fire("pool.slow_start")
+            if rule is not None:
+                slow_delay = rule.delay
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=self._ctx,
+            initializer=_supervised_init,
+            initargs=(
+                self._board,
+                self._ctx.Value("i", 0),
+                slow_delay,
+                self._forward_metrics,
+            ),
+        )
 
-    def submit(
-        self, task: Callable[[Any], Any], payload: Any
-    ) -> Future[Any]:
-        """Submit one task; the supervisor's entry point.
+    def _detach(self) -> ProcessPoolExecutor | None:
+        """Drop the executor and board; return the executor, if any.
 
-        With metrics forwarding on the future resolves to the
-        ``(result, delta)`` pair of :func:`_obs_task`; :meth:`run` and
-        the supervisor unwrap via :func:`_harvest`.
-        """
-        if self._executor is None:
-            raise RuntimeError("pool is closed")
-        if self._forward_metrics:
-            return self._executor.submit(_obs_task, (task, payload))
-        return self._executor.submit(task, payload)
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent, safe on half-built instances).
-
-        ``getattr`` rather than attribute access: ``__del__`` invokes
-        this even when ``__init__`` raised before ``_executor`` was
+        ``getattr`` rather than attribute access: ``__del__`` reaches
+        here even when ``__init__`` raised before ``_executor`` was
         assigned (e.g. on a bad ``workers`` value).
         """
         executor = getattr(self, "_executor", None)
         self._executor = None
+        self._board = None
+        return executor
+
+    def close(self) -> None:
+        """Shut the pool down (idempotent, safe on half-built instances)."""
+        executor = self._detach()
         if executor is not None:
             executor.shutdown(wait=True)
 
@@ -270,8 +247,7 @@ class WorkerPool:
         (escalating to SIGKILL if one survives its grace period) and
         abandons queued work.
         """
-        executor = getattr(self, "_executor", None)
-        self._executor = None
+        executor = self._detach()
         if executor is None:
             return
         process_map = getattr(executor, "_processes", None)
@@ -288,7 +264,7 @@ class WorkerPool:
                     process.kill()
                     process.join(timeout=1.0)
 
-    def __enter__(self) -> "WorkerPool":
+    def __enter__(self) -> "SupervisedPool":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -299,141 +275,6 @@ class WorkerPool:
         # executor machinery may already be torn down, and joining a
         # SIGKILLed pool can surface BaseExceptions (not just
         # Exceptions) that must never escape a finalizer.
-        try:
-            self.close()
-        except BaseException:
-            pass
-
-
-@contextmanager
-def plain_pool(workers: int) -> Iterator[WorkerPool]:
-    """A payload-less :class:`WorkerPool` (task args pickled per task)."""
-    pool = WorkerPool(workers)
-    try:
-        yield pool
-    finally:
-        pool.close()
-
-
-# -- supervision: parent-side -------------------------------------------------
-
-
-class _PoolHang(RuntimeError):
-    """Internal: the supervisor's hang deadline expired."""
-
-
-def _task_deadline() -> float:
-    raw = os.environ.get(TASK_DEADLINE_ENV, "")
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return _DEFAULT_TASK_DEADLINE
-
-
-class SupervisedPool:
-    """A :class:`WorkerPool` wrapped in crash/hang supervision.
-
-    Same construction signature and ``run``/context-manager surface as
-    :class:`WorkerPool`, so call sites swap freely. The differences are
-    what happens when workers misbehave:
-
-    * every worker beats a shared heartbeat board at task start and
-      finish; a batch with no completion *and* no heartbeat for
-      ``deadline`` seconds (``REPRO_TASK_DEADLINE``) is declared hung
-      and the pool is killed rather than waited on forever;
-    * a worker death (``BrokenProcessPool``) or a declared hang tears
-      the pool down, sleeps a bounded-exponential :class:`Backoff`
-      step, rebuilds the pool from the retained initializer/payload,
-      and resubmits the *whole* batch — sound because every task in
-      this package is a pure function of its payload;
-    * after ``max_rebuilds`` consecutive failed attempts the batch
-      raises :class:`~repro.resilience.errors.PoolFailure` and the
-      caller takes its serial fallback.
-
-    Fault injection (``pool.worker_crash`` / ``pool.worker_hang`` /
-    ``pool.slow_start``) is drawn in the *parent* — once per attempt,
-    shipped inside the task bundle — so a ``times=1`` rule fires
-    exactly once globally instead of once per rebuilt worker.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        initializer: Callable[..., None] | None = None,
-        payload: Any = None,
-        *,
-        deadline: float | None = None,
-        max_rebuilds: int | None = None,
-        backoff: Backoff | None = None,
-        name: str = "parallel.pool",
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.name = name
-        self.deadline = _task_deadline() if deadline is None else deadline
-        self.max_rebuilds = (
-            _DEFAULT_MAX_REBUILDS if max_rebuilds is None else max_rebuilds
-        )
-        self._initializer = initializer
-        self._payload = payload
-        self._backoff = backoff if backoff is not None else Backoff(seed=0)
-        self._ctx = _preferred_context()
-        self._board: Any = None
-        self._pool: WorkerPool | None = None
-        self._closed = False
-        self._build()
-
-    # -- lifecycle -------------------------------------------------------
-
-    def _build(self) -> None:
-        self._board = self._ctx.Array("d", self.workers)
-        slot_counter = self._ctx.Value("i", 0)
-        slow_delay = 0.0
-        injector = get_injector()
-        if injector.enabled:
-            rule = injector.fire("pool.slow_start")
-            if rule is not None:
-                slow_delay = rule.delay
-        bundle = (
-            self._board,
-            slot_counter,
-            slow_delay,
-            self._initializer,
-            self._payload,
-        )
-        self._pool = WorkerPool(self.workers, _supervised_init, bundle)
-
-    def close(self) -> None:
-        """Release the workers (idempotent, safe on half-built instances)."""
-        self._closed = True
-        pool = getattr(self, "_pool", None)
-        self._pool = None
-        self._board = None
-        if pool is not None:
-            pool.close()
-
-    def kill(self) -> None:
-        """Hard teardown (see :meth:`WorkerPool.kill`)."""
-        self._closed = True
-        pool = getattr(self, "_pool", None)
-        self._pool = None
-        self._board = None
-        if pool is not None:
-            pool.kill()
-
-    def __enter__(self) -> "SupervisedPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        # Never propagate from a finalizer (see WorkerPool.__del__).
         try:
             self.close()
         except BaseException:
@@ -455,7 +296,7 @@ class SupervisedPool:
                 rule = injector.fire("pool.worker_hang")
                 if rule is not None:
                     action, delay = "hang", rule.delay
-        return (action, delay, task, payload)
+        return (action, delay, self._forward_metrics, task, payload)
 
     def run(
         self,
@@ -468,7 +309,7 @@ class SupervisedPool:
         so re-execution is free of side effects); raises
         :class:`PoolFailure` once the rebuild budget is spent.
         """
-        if self._closed:
+        if self._executor is None:
             raise RuntimeError("pool is closed")
         metrics = get_registry()
         attempts = 0
@@ -497,10 +338,7 @@ class SupervisedPool:
                     "%s: %s (attempt %d/%d)",
                     self.name, cause, attempts, self.max_rebuilds + 1,
                 )
-                pool = self._pool
-                self._pool = None
-                if pool is not None:
-                    pool.kill()
+                self.kill()
                 if attempts > self.max_rebuilds:
                     raise PoolFailure(attempts, cause) from exc
                 self._backoff.sleep()
@@ -509,11 +347,13 @@ class SupervisedPool:
                 self._build()
 
     def _run_once(self, bundles: Sequence[tuple[Any, ...]]) -> list[Any]:
-        pool = self._pool
+        executor = self._executor
         board = self._board
-        if pool is None or board is None:
+        if executor is None or board is None:
             raise RuntimeError("pool is closed")
-        futures = [pool.submit(_supervised_task, bundle) for bundle in bundles]
+        futures = [
+            executor.submit(_supervised_task, bundle) for bundle in bundles
+        ]
         pending = set(futures)
         last_beat = max(board[:])
         last_progress = time.time()
@@ -535,7 +375,7 @@ class SupervisedPool:
                 )
         self._backoff.reset()
         results = [future.result() for future in futures]
-        if pool.forwards_metrics:
+        if self._forward_metrics:
             # Harvest only here, on the attempt that completed: a
             # failed batch is re-run whole, and merging its partial
             # worker deltas would double-count the re-executed tasks.

@@ -177,7 +177,7 @@ class ThreadedBitmapCounter(BitmapCounter):
         self.close()
 
     def __del__(self) -> None:
-        # Never propagate from a finalizer (see WorkerPool.__del__).
+        # Never propagate from a finalizer (see SupervisedPool.__del__).
         try:
             self.close()
         except BaseException:

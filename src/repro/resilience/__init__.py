@@ -8,7 +8,8 @@ core, data) can depend on it without cycles. It provides:
   behind ``injector.enabled`` guards — byte-identical production paths
   when off;
 * :class:`Backoff` (:mod:`repro.resilience.backoff`) for pool
-  rebuilds;
+  rebuilds, and the worker heartbeat
+  (:mod:`repro.resilience.heartbeat`) the pool's hang deadline reads;
 * atomic, checksummed artifact persistence
   (:mod:`repro.resilience.integrity`);
 * per-level mining checkpoints (:mod:`repro.resilience.checkpoint`)

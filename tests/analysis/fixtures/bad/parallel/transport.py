@@ -2,35 +2,31 @@
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-
-import numpy as np
-
-from repro.parallel.pool import WorkerPool, plain_pool
+from repro.parallel.pool import SupervisedPool
+from repro.resilience import atomic_path
 
 
-def publish(array):
-    """The copy into the fresh segment can raise — segment stranded."""
-    segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
-    view = np.ndarray(array.shape, dtype=np.int64, buffer=segment.buf)
-    view[:] = array
-    return segment
+def publish(path, array):
+    """The write into the fresh file can raise — handle stranded."""
+    handle = open(path, "wb")
+    handle.write(array.tobytes())
+    return handle
 
 
 def count_batch(work, payloads):
     """Happy-path-only close: pool.run raising skips pool.close()."""
-    pool = WorkerPool(2)
+    pool = SupervisedPool(2)
     results = pool.run(work, payloads)
     pool.close()
     return results
 
 
-def probe(array):
+def probe(path):
     """Acquired and dropped on the floor: nothing can release it."""
-    shared_memory.SharedMemory(create=True, size=array.nbytes)
-    return array.nbytes
+    open(path, "rb")
+    return path
 
 
-def forgotten_pool(workers):
+def forgotten_artifact(path):
     """Context-manager factory called but never entered."""
-    plain_pool(workers)
+    atomic_path(path)

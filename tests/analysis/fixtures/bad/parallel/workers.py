@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import SupervisedPool
 
 _CANDIDATE_CACHE: dict[str, int] = {}
 _RNG = random.Random(1234)
@@ -28,7 +28,7 @@ def jitter_task(payload):
 
 def run(items):
     warm_cache(items)
-    with WorkerPool(2) as pool:
+    with SupervisedPool(2) as pool:
         counts = pool.run(shard_task, items)
         jitters = pool.run(jitter_task, items)
     return counts, jitters

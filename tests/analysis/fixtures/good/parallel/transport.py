@@ -2,46 +2,41 @@
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-
-import numpy as np
-
-from repro.parallel.pool import WorkerPool, plain_pool
+from repro.parallel.pool import SupervisedPool
+from repro.resilience import atomic_path
 
 
-def publish(array):
+def publish(path, array):
     """Failure between acquire and return reaches a cleanup handler."""
-    segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
+    handle = open(path, "wb")
     try:
-        view = np.ndarray(array.shape, dtype=np.int64, buffer=segment.buf)
-        view[:] = array
+        handle.write(array.tobytes())
     except BaseException:
-        segment.close()
-        segment.unlink()
+        handle.close()
         raise
-    return segment
+    return handle
 
 
 def count_batch(work, payloads):
     """try/finally covers every exit, exceptional ones included."""
-    pool = WorkerPool(2)
+    pool = SupervisedPool(2)
     try:
         return pool.run(work, payloads)
     finally:
         pool.close()
 
 
-def probe(array):
+def probe(path):
     """Bound and released instead of dropped."""
-    segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
+    handle = open(path, "rb")
     try:
-        return segment.size
+        return len(handle.read(16))
     finally:
-        segment.close()
-        segment.unlink()
+        handle.close()
 
 
-def entered_pool(work, payloads, workers):
+def entered_artifact(path, data):
     """Context-manager factory actually entered."""
-    with plain_pool(workers) as pool:
-        return pool.run(work, payloads)
+    with atomic_path(path) as tmp:
+        with open(tmp, "wb") as handle:
+            handle.write(data)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-
-from repro.parallel.pool import WorkerPool
+from concurrent.futures import ProcessPoolExecutor
 
 _CANDIDATE_CACHE: dict[str, int] = {}
 
@@ -28,7 +27,9 @@ def jitter_task(payload):
 
 def run(items):
     snapshot = {item: len(item) for item in items}
-    with WorkerPool(2, init_cache, snapshot) as pool:
-        counts = pool.run(shard_task, items)
-        jitters = pool.run(jitter_task, items)
+    with ProcessPoolExecutor(
+        2, initializer=init_cache, initargs=(snapshot,)
+    ) as pool:
+        counts = list(pool.map(shard_task, items))
+        jitters = list(pool.map(jitter_task, items))
     return counts, jitters

@@ -13,7 +13,7 @@ def lint(source: str, path: str = "repro/parallel/workers.py"):
     return lint_source(source, path=path, checkers=CHECKERS)
 
 
-PRELUDE = "from repro.parallel.pool import WorkerPool\n"
+PRELUDE = "from repro.parallel.pool import SupervisedPool\n"
 
 
 class TestFixtures:
@@ -41,7 +41,7 @@ class TestModuleState:
             "    return _CACHE.get(payload, 0)\n"
             "def run(items):\n"
             "    warm(items)\n"
-            "    with WorkerPool(2) as pool:\n"
+            "    with SupervisedPool(2) as pool:\n"
             "        return pool.run(task, items)\n"
         )
         assert rules_of(lint(source)) == {"fork-module-state"}
@@ -53,13 +53,14 @@ class TestModuleState:
             "def task(payload):\n"
             "    return _WEIGHTS.get(payload, 0)\n"
             "def run(items):\n"
-            "    with WorkerPool(2) as pool:\n"
+            "    with SupervisedPool(2) as pool:\n"
             "        return pool.run(task, items)\n"
         )
         assert not lint(source).failed
 
     def test_initializer_managed_state_is_safe(self):
-        source = PRELUDE + (
+        source = (
+            "from concurrent.futures import ProcessPoolExecutor\n"
             "_CACHE = {}\n"
             "def warm(items):\n"
             "    for item in items:\n"
@@ -71,8 +72,10 @@ class TestModuleState:
             "    return _CACHE.get(payload, 0)\n"
             "def run(items):\n"
             "    warm(items)\n"
-            "    with WorkerPool(2, init_cache, items) as pool:\n"
-            "        return pool.run(task, items)\n"
+            "    with ProcessPoolExecutor(\n"
+            "        2, initializer=init_cache, initargs=(items,)\n"
+            "    ) as pool:\n"
+            "        return list(pool.map(task, items))\n"
         )
         assert not lint(source).failed
 
@@ -88,7 +91,7 @@ class TestModuleState:
             "    return helper(payload) + 1\n"
             "def run(items):\n"
             "    warm(items)\n"
-            "    with WorkerPool(2) as pool:\n"
+            "    with SupervisedPool(2) as pool:\n"
             "        return pool.run(task, items)\n"
         )
         assert rules_of(lint(source)) == {"fork-module-state"}
@@ -113,7 +116,7 @@ class TestSharedRng:
             "def task(payload):\n"
             "    return _RNG.random()\n"
             "def run(items):\n"
-            "    with WorkerPool(2) as pool:\n"
+            "    with SupervisedPool(2) as pool:\n"
             "        return pool.run(task, items)\n"
         )
         assert rules_of(lint(source)) == {"fork-shared-rng"}
@@ -125,7 +128,7 @@ class TestSharedRng:
             "    rng = random.Random(len(payload))\n"
             "    return rng.random()\n"
             "def run(items):\n"
-            "    with WorkerPool(2) as pool:\n"
+            "    with SupervisedPool(2) as pool:\n"
             "        return pool.run(task, items)\n"
         )
         assert not lint(source).failed

@@ -123,19 +123,18 @@ class TestResilienceHierarchy:
 
 class TestAcquireClassification:
     SOURCE = (
-        "from multiprocessing import shared_memory\n"
-        "from repro.parallel.pool import WorkerPool\n"
-        "def assigned(n):\n"
-        "    seg = shared_memory.SharedMemory(create=True, size=n)\n"
-        "    return seg\n"
-        "def dropped(n):\n"
-        "    shared_memory.SharedMemory(create=True, size=n)\n"
+        "from repro.parallel.pool import SupervisedPool\n"
+        "def assigned(path):\n"
+        "    handle = open(path)\n"
+        "    return handle\n"
+        "def dropped(path):\n"
+        "    open(path)\n"
         "def managed(n):\n"
-        "    with WorkerPool(2) as pool:\n"
+        "    with SupervisedPool(2) as pool:\n"
         "        return pool\n"
         "class Holder:\n"
         "    def bind(self, n):\n"
-        "        self._pool = WorkerPool(n)\n"
+        "        self._pool = SupervisedPool(n)\n"
     )
 
     def test_usages(self):
@@ -145,7 +144,7 @@ class TestAcquireClassification:
             for site in project.acquires["src/repro/t.py"]
         }
         assert sites["assigned"].usage == "assigned"
-        assert sites["assigned"].variable == "seg"
+        assert sites["assigned"].variable == "handle"
         assert sites["dropped"].usage == "dropped"
         assert sites["managed"].usage == "with"
         assert sites["bind"].usage == "self"

@@ -13,8 +13,8 @@ def lint(source: str, path: str = "repro/parallel/transport.py"):
     return lint_source(source, path=path, checkers=CHECKERS)
 
 
-POOL_IMPORT = "from repro.parallel.pool import WorkerPool, plain_pool\n"
-SHM_IMPORT = "from multiprocessing import shared_memory\n"
+POOL_IMPORT = "from repro.parallel.pool import SupervisedPool\n"
+ATOMIC_IMPORT = "from repro.resilience import atomic_path\n"
 
 
 class TestFixtures:
@@ -41,7 +41,7 @@ class TestLeakPaths:
     def test_statement_between_acquire_and_try_leaks(self):
         source = POOL_IMPORT + (
             "def f(work, payloads):\n"
-            "    pool = WorkerPool(2)\n"
+            "    pool = SupervisedPool(2)\n"
             "    batches = list(payloads)\n"
             "    try:\n"
             "        return pool.run(work, batches)\n"
@@ -53,7 +53,7 @@ class TestLeakPaths:
     def test_immediate_try_finally_is_clean(self):
         source = POOL_IMPORT + (
             "def f(work, payloads):\n"
-            "    pool = WorkerPool(2)\n"
+            "    pool = SupervisedPool(2)\n"
             "    try:\n"
             "        batches = list(payloads)\n"
             "        return pool.run(work, batches)\n"
@@ -65,7 +65,7 @@ class TestLeakPaths:
     def test_happy_path_only_close_leaks(self):
         source = POOL_IMPORT + (
             "def f(work, payloads):\n"
-            "    pool = WorkerPool(2)\n"
+            "    pool = SupervisedPool(2)\n"
             "    results = pool.run(work, payloads)\n"
             "    pool.close()\n"
             "    return results\n"
@@ -75,7 +75,7 @@ class TestLeakPaths:
     def test_conditional_release_header_is_trusted(self):
         source = POOL_IMPORT + (
             "def f(pool2, owned):\n"
-            "    pool = WorkerPool(2)\n"
+            "    pool = SupervisedPool(2)\n"
             "    try:\n"
             "        return pool.run(len, [])\n"
             "    finally:\n"
@@ -85,10 +85,10 @@ class TestLeakPaths:
         assert not lint(source).failed
 
     def test_either_release_method_settles(self):
-        # WorkerPool releases via close() OR kill().
+        # SupervisedPool releases via close() OR kill().
         source = POOL_IMPORT + (
             "def f(work, payloads):\n"
-            "    pool = WorkerPool(2)\n"
+            "    pool = SupervisedPool(2)\n"
             "    try:\n"
             "        return pool.run(work, payloads)\n"
             "    finally:\n"
@@ -101,7 +101,7 @@ class TestExemptions:
     def test_with_statement_is_exempt(self):
         source = POOL_IMPORT + (
             "def f(work, payloads):\n"
-            "    with WorkerPool(2) as pool:\n"
+            "    with SupervisedPool(2) as pool:\n"
             "        return pool.run(work, payloads)\n"
         )
         assert not lint(source).failed
@@ -110,15 +110,15 @@ class TestExemptions:
         source = POOL_IMPORT + (
             "class Engine:\n"
             "    def start(self):\n"
-            "        self._pool = WorkerPool(2)\n"
+            "        self._pool = SupervisedPool(2)\n"
         )
         assert not lint(source).failed
 
     def test_returned_resource_escapes(self):
-        source = SHM_IMPORT + (
-            "def f(n):\n"
-            "    seg = shared_memory.SharedMemory(create=True, size=n)\n"
-            "    return seg\n"
+        source = (
+            "def f(path):\n"
+            "    handle = open(path, 'rb')\n"
+            "    return handle\n"
         )
         assert not lint(source).failed
 
@@ -129,23 +129,24 @@ class TestExemptions:
 
 class TestDroppedAndCmOnly:
     def test_dropped_acquisition(self):
-        source = SHM_IMPORT + (
-            "def f(n):\n"
-            "    shared_memory.SharedMemory(create=True, size=n)\n"
+        source = (
+            "def f(path):\n"
+            "    open(path, 'rb')\n"
         )
         assert rules_of(lint(source)) == {"resource-dropped"}
 
     def test_cm_factory_called_without_with(self):
-        source = POOL_IMPORT + (
-            "def f(n):\n"
-            "    plain_pool(n)\n"
+        source = ATOMIC_IMPORT + (
+            "def f(path):\n"
+            "    atomic_path(path)\n"
         )
         assert rules_of(lint(source)) == {"resource-cm-only"}
 
     def test_cm_factory_under_with_is_fine(self):
-        source = POOL_IMPORT + (
-            "def f(n, work, payloads):\n"
-            "    with plain_pool(n) as pool:\n"
-            "        return pool.map(work, payloads)\n"
+        source = ATOMIC_IMPORT + (
+            "def f(path, data):\n"
+            "    with atomic_path(path) as tmp:\n"
+            "        with open(tmp, 'wb') as handle:\n"
+            "            handle.write(data)\n"
         )
         assert not lint(source).failed

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 from repro.data import TransactionDatabase
@@ -17,7 +16,6 @@ from repro.parallel import (
     SupervisedPool,
     ThreadedBitmapCounter,
     ThreadShardPlanner,
-    WorkerPool,
 )
 
 
@@ -25,15 +23,15 @@ def _echo(payload):
     return payload * 10
 
 
-class TestWorkerPool:
+class TestPool:
     def test_results_follow_payload_order(self):
-        with WorkerPool(2) as pool:
+        with SupervisedPool(2) as pool:
             assert pool.run(_echo, list(range(8))) == [
                 i * 10 for i in range(8)
             ]
 
     def test_close_is_idempotent(self):
-        pool = WorkerPool(2)
+        pool = SupervisedPool(2)
         pool.run(_echo, [1])
         pool.close()
         pool.close()
@@ -46,20 +44,16 @@ class TestDefensiveTeardown:
         # workers is validated before the executor exists; the
         # interpreter still calls __del__ on the dead instance.
         with pytest.raises(ValueError, match="workers"):
-            WorkerPool(0)
+            SupervisedPool(0)
 
     def test_half_built_counter_has_safe_del(self):
         with pytest.raises(ValueError, match="workers"):
             ThreadedBitmapCounter(workers=0)
 
     def test_explicit_del_after_close(self):
-        pool = WorkerPool(2)
+        pool = SupervisedPool(2)
         pool.close()
         pool.__del__()          # must not raise
-
-        supervised = SupervisedPool(2)
-        supervised.close()
-        supervised.__del__()    # must not raise
 
     def test_context_manager_exit_then_close(self):
         with SupervisedPool(2) as pool:
@@ -90,7 +84,7 @@ class TestDefensiveTeardown:
 
             pool = SupervisedPool(2)
             assert pool.run(abs, [-1, -2]) == [1, 2]
-            for proc in pool._pool._executor._processes.values():
+            for proc in pool._executor._processes.values():
                 os.kill(proc.pid, signal.SIGKILL)
             # No close(): the dangling pool is finalized at exit.
             print("OK")

@@ -4,11 +4,10 @@ The export plane's exactness claim: mining with ``workers=N`` and an
 active registry yields the same merged counters and histogram totals
 as ``workers=1`` — worker-side instrument updates ride back with each
 task result and fold into the parent registry, exactly once. The
-vehicles are the process pools that remain: Partition's phase-1 pool
-(a plain :class:`WorkerPool` running the local Apriori passes, whose
-``apriori.*`` counters are recorded inside the workers) and DHP's
-:class:`SupervisedPool` (whose harvest must also survive a crash
-retry).
+vehicle is the one process pool, :class:`SupervisedPool`, behind
+Partition's phase 1 (the local Apriori passes, whose ``apriori.*``
+counters are recorded inside the workers) and DHP's chunk passes; its
+harvest must also survive a crash retry.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 from repro.data import generate_quest
 from repro.mining import DHP, Partition
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
-from repro.parallel.pool import SupervisedPool, WorkerPool
+from repro.parallel.pool import SupervisedPool
 from repro.resilience import Backoff, FaultPlan, use_faults
 
 #: Metric prefix of the fan-out bookkeeping, which only a run that
@@ -106,15 +105,15 @@ def _inc_worker_counters(tag: str) -> str:
 def test_worker_deltas_merge():
     registry = MetricsRegistry()
     with use_registry(registry):
-        with WorkerPool(2) as pool:
+        with SupervisedPool(2) as pool:
             results = pool.run(_inc_worker_counters, ["a", "b", "c"])
     assert results == ["a", "b", "c"]
     assert registry.counter("worker.tasks").value == 3
 
 
 def test_supervised_harvest_survives_a_crash_retry():
-    """DHP's pool type: a batch re-run after a worker crash ships its
-    worker deltas once, from the attempt that completed."""
+    """A batch re-run after a worker crash ships its worker deltas
+    once, from the attempt that completed."""
     plan = FaultPlan.from_spec("pool.worker_crash:times=1", seed=0)
     registry = MetricsRegistry()
     backoff = Backoff(base=0.01, factor=1.0, max_delay=0.01, jitter=0.0)
@@ -132,7 +131,7 @@ def _idle(tag: str) -> str:
 
 def test_no_forwarding_without_active_registry():
     assert not get_registry().enabled
-    with WorkerPool(2) as pool:
+    with SupervisedPool(2) as pool:
         assert pool.forwards_metrics is False
         assert pool.run(_idle, ["x"]) == ["x"]
 
@@ -142,7 +141,7 @@ def test_snapshot_reset_prevents_double_counting():
     second batch must not re-ship the first batch's counts."""
     registry = MetricsRegistry()
     with use_registry(registry):
-        with WorkerPool(1) as pool:
+        with SupervisedPool(1) as pool:
             pool.run(_inc_worker_counters, ["a"])
             pool.run(_inc_worker_counters, ["b"])
     assert registry.counter("worker.tasks").value == 2

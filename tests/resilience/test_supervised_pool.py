@@ -1,18 +1,44 @@
 """Pool supervision: crash rebuilds, hang detection, rebuild budgets."""
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.data import generate_quest
-from repro.mining import DHP
+from repro.mining import DHP, Partition
+from repro.mining.checkpointing import level_crash_point
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.parallel.pool import SupervisedPool
-from repro.resilience import Backoff, FaultPlan, PoolFailure, use_faults
+from repro.resilience import (
+    Backoff,
+    FaultPlan,
+    InjectedFault,
+    PoolFailure,
+    use_faults,
+)
 
 WORKERS = 2
 
 
 def _double(x):
     return x * 2
+
+
+def _long_mining_task(x):
+    """About a second of work that marks a mining unit every 0.2 s."""
+    for _ in range(5):
+        level_crash_point()
+        time.sleep(0.2)
+    return x * 2
+
+
+@pytest.fixture(scope="module")
+def quest_db():
+    return generate_quest(
+        n_transactions=400, n_items=40, avg_transaction_len=8,
+        n_patterns=30, seed=11,
+    )
 
 
 def _fast_backoff():
@@ -50,6 +76,19 @@ class TestSupervisedPool:
         assert registry.counter("resilience.pool.hangs").snapshot() == 1
         assert registry.counter("resilience.pool.rebuilds").snapshot() == 1
 
+    def test_per_unit_heartbeat_outlives_the_deadline(self):
+        # Each task runs twice the deadline, but beats once per mining
+        # unit: it is slow, not hung, and must complete on the first
+        # attempt.
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with SupervisedPool(
+                WORKERS, deadline=0.5, max_rebuilds=0,
+                backoff=_fast_backoff(),
+            ) as pool:
+                assert pool.run(_long_mining_task, [1, 2]) == [2, 4]
+        assert "resilience.pool.hangs" not in registry.snapshot()["counters"]
+
     def test_exhausted_rebuild_budget_raises_pool_failure(self):
         plan = FaultPlan.from_spec("pool.worker_crash:times=99", seed=0)
         with use_faults(plan):
@@ -75,13 +114,10 @@ class TestSupervisedPool:
 
 
 class TestDHPUnderCrash:
-    def test_injected_crash_is_absorbed_exactly(self):
+    def test_injected_crash_is_absorbed_exactly(self, quest_db):
         """DHP's chunk passes ride a supervised pool: one worker crash
         costs a rebuild, never a wrong or missing count."""
-        db = generate_quest(
-            n_transactions=400, n_items=40, avg_transaction_len=8,
-            n_patterns=30, seed=11,
-        )
+        db = quest_db
         serial = DHP(n_buckets=64, max_level=3).mine(db, 0.02)
         plan = FaultPlan.from_spec("pool.worker_crash:times=1", seed=0)
         registry = MetricsRegistry()
@@ -91,4 +127,34 @@ class TestDHPUnderCrash:
             )
         assert result.frequent == serial.frequent
         assert result.levels == serial.levels
+        assert registry.counter("resilience.pool.crashes").snapshot() == 1
+
+    def test_failed_run_leaves_no_live_workers(self, quest_db):
+        """A run that dies mid-mining closes its pool on the way out:
+        no worker process outlives the raise."""
+        plan = FaultPlan.from_spec("mining.level_crash:after=1", seed=0)
+        with use_faults(plan):
+            with pytest.raises(InjectedFault) as raised:
+                DHP(n_buckets=64, max_level=3, workers=WORKERS).mine(
+                    quest_db, 0.02
+                )
+        # Checked while the exception — and so the failed run's
+        # frames — is still held: a pool closed only by its finalizer
+        # would still show its workers here.
+        assert multiprocessing.active_children() == []
+        assert raised.value.point == "mining.level_crash"
+
+
+class TestPartitionUnderCrash:
+    def test_injected_crash_is_absorbed_exactly(self, quest_db):
+        """Partition's phase 1 rides the same supervised pool: one
+        worker crash costs a rebuild, never a missing candidate."""
+        serial = Partition(n_partitions=4).mine(quest_db, 0.02)
+        plan = FaultPlan.from_spec("pool.worker_crash:times=1", seed=0)
+        registry = MetricsRegistry()
+        with use_faults(plan), use_registry(registry):
+            result = Partition(n_partitions=4, workers=WORKERS).mine(
+                quest_db, 0.02
+            )
+        assert result.frequent == serial.frequent
         assert registry.counter("resilience.pool.crashes").snapshot() == 1
