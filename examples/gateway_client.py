@@ -19,8 +19,9 @@ is plain HTTP/1.1 + JSON, so ``urllib`` is all a consumer needs):
 
 With no argument the example boots its own in-process
 :class:`~repro.serve.Gateway`; with a URL argument it drives a gateway
-someone else started (``repro-ossm serve map.npz --listen :8080``) —
-CI uses both modes.
+someone else started
+(``repro-ossm serve --ossm map.npz --listen :8080``) — CI uses both
+modes.
 """
 
 import asyncio

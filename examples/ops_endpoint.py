@@ -8,8 +8,8 @@ Demonstrates the export plane (DESIGN.md §12) end to end:
 2. stand up a :class:`~repro.serve.BoundQueryService` with a latency
    SLO and an :class:`~repro.obs.OpsServer` beside it, then scrape
    ``/metrics`` (Prometheus text), ``/health``, and ``/stats`` over
-   plain HTTP — the same endpoints ``repro-ossm serve --ops-port``
-   exposes;
+   plain HTTP — the same endpoints
+   ``repro-ossm serve --ossm map.npz --ops-port 9100`` exposes;
 3. read the rolling p50/p95/p99 latency and the error budget out of
    ``service.stats()``.
 

@@ -22,7 +22,6 @@ import os
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from ..data.pages import PagedDatabase
 from ..data.transactions import TransactionDatabase
@@ -234,6 +233,9 @@ class OSSM:
         """Bounds of ``ItemsetTable.pairs_of(basis)``: per segment
         ``min(p, q) = (p + q − |p − q|)/2``, and one condensed ``pdist``
         gives every pair's ``Σ|p − q|`` in the table's row order."""
+        # ~0.4 s to import, and serving never needs it: loaded here only.
+        from scipy.spatial.distance import pdist
+
         as_array(basis[:, None], self.n_items)  # the item-domain check
         columns = self._matrix[:, basis].T
         # pdist sums in doubles, exact for counts < 2**53: the round trip

@@ -21,8 +21,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from scipy.stats import chi2 as _chi2_distribution
-
 from ..data.transactions import TransactionDatabase
 from .base import MiningResult, resolve_min_support
 from .counting import TidsetCounter
@@ -90,8 +88,10 @@ class ContingencyTable:
     def p_value(self) -> float:
         """Upper-tail p-value (``2^k − k − 1`` degrees of freedom for
         the k-dimensional independence test; 1 df when k = 2)."""
+        from scipy.stats import chi2  # ~0.7 s; only p-values need it
+
         df = max(1, 2**self.k - self.k - 1)
-        return float(_chi2_distribution.sf(self.chi_squared(), df))
+        return float(chi2.sf(self.chi_squared(), df))
 
     def min_expected(self) -> float:
         """Smallest expected cell (the classic validity screen)."""

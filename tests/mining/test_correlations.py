@@ -1,5 +1,7 @@
 """Tests for chi-squared correlation mining."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,22 @@ class TestContingencyTable:
         db = TransactionDatabase([(0, 1)] * 50 + [()] * 50, n_items=2)
         table = contingency_table(db, (0, 1))
         assert table.chi_squared() == pytest.approx(100.0)  # == n
-        assert table.p_value() < 1e-10
+        assert table.p_value() == pytest.approx(
+            math.erfc(math.sqrt(50.0)), rel=1e-9
+        )
+
+    def test_p_value_is_the_one_df_closed_form(self):
+        # For df = 1 the chi-squared upper tail is erfc(sqrt(x / 2)).
+        db = TransactionDatabase(
+            [(0, 1)] * 30 + [(0,)] * 20 + [(1,)] * 15 + [()] * 35,
+            n_items=2,
+        )
+        table = contingency_table(db, (0, 1))
+        x = table.chi_squared()
+        assert 1.0 < x < 20.0  # a p-value far from both 0 and 1
+        assert table.p_value() == pytest.approx(
+            math.erfc(math.sqrt(x / 2)), rel=1e-12
+        )
 
 
 class TestMiner:
