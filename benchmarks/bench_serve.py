@@ -336,7 +336,7 @@ def test_gateway_multi_tenant_load(tmp_path):
             for client in range(CLIENTS_PER_TENANT)
         ]
 
-    registry = TenantRegistry(linger=0.001)
+    registry = TenantRegistry()
 
     async def run():
         async with registry:

@@ -8,12 +8,14 @@ things the service deliberately does not:
   a submission past the sustained rate is shed *before* it touches the
   service, with :class:`~repro.serve.errors.QuotaExceeded` carrying
   the bucket's exact refill time as the ``Retry-After`` hint;
-* **coalescing across requests** — admitted itemsets from concurrent
-  requests are gathered for a short linger window (default 2 ms) and
-  flushed to ``service.query_batch`` as one batch, so a hundred
-  single-itemset HTTP requests cost one cache walk and one engine
-  fan-out instead of a hundred. The service's own same-key coalescing
-  and epoch-tagged cache then apply to the merged batch unchanged.
+* **coalescing across requests** — admitted itemsets are flushed to
+  ``service.query_batch`` on the next event-loop tick; requests that
+  arrive while a batch evaluates queue behind it and ride the next
+  batch together (group commit, no timer). A hundred single-itemset
+  HTTP requests queued behind one batch cost one cache walk and one
+  engine fan-out instead of a hundred. The service's own same-key
+  coalescing and epoch-tagged cache then apply to the merged batch
+  unchanged.
 
 The scheduler never reorders within a request: every caller gets its
 bounds aligned with its own input order, whatever batch they rode in.
@@ -53,7 +55,7 @@ class _Pending:
 
 
 class BatchScheduler:
-    """Quota gate + linger-window batch coalescer for one tenant.
+    """Quota gate + group-commit batch coalescer for one tenant.
 
     Parameters
     ----------
@@ -62,10 +64,7 @@ class BatchScheduler:
         its ``query_batch`` (back-pressure and cache included).
     max_batch:
         Largest merged batch per flush; excess requests roll into the
-        next flush immediately (no extra linger).
-    linger:
-        Seconds to hold the first request of a batch open for
-        followers. Zero flushes on the next event-loop tick.
+        next flush immediately.
     bucket:
         The tenant's quota bucket, or ``None`` for unlimited.
     tenant:
@@ -77,17 +76,13 @@ class BatchScheduler:
         service: BoundQueryService,
         *,
         max_batch: int = 512,
-        linger: float = 0.002,
         bucket: "TokenBucket | None" = None,
         tenant: str = "default",
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if linger < 0:
-            raise ValueError("linger must be >= 0")
         self.service = service
         self.max_batch = int(max_batch)
-        self.linger = float(linger)
         self.bucket = bucket
         self.tenant = tenant
         self._queue: list[_Pending] = []
@@ -139,7 +134,7 @@ class BatchScheduler:
         )
         self._queue.append(_Pending(materialized, future))
         if self._flusher is None or self._flusher.done():
-            task = asyncio.create_task(self._flush_after_linger())
+            task = asyncio.create_task(self._drain())
             self._flusher = task
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
@@ -147,19 +142,24 @@ class BatchScheduler:
 
     # -- flushing --------------------------------------------------------
 
-    async def _flush_after_linger(self) -> None:
-        """Hold the window open for followers, then flush the queue."""
-        if self.linger > 0:
-            await asyncio.sleep(self.linger)
-        else:
-            # Yield once so same-tick submitters can still join.
-            await asyncio.sleep(0)
+    async def _drain(self) -> None:
+        """Flush the queue batch by batch until it stays empty.
+
+        One yield first, so same-tick submitters join the first batch;
+        requests that arrive while a batch evaluates ride the next.
+        """
+        await asyncio.sleep(0)
         while self._queue:
-            batch: list[_Pending] = []
-            size = 0
-            while self._queue and size < self.max_batch:
-                batch.append(self._queue.pop(0))
-                size += len(batch[-1].itemsets)
+            # The batch is the shortest queue prefix that reaches
+            # max_batch itemsets (or the whole queue), cut as one slice.
+            taken = size = 0
+            for pending in self._queue:
+                taken += 1
+                size += len(pending.itemsets)
+                if size >= self.max_batch:
+                    break
+            batch = self._queue[:taken]
+            del self._queue[:taken]
             await self._flush(batch)
 
     async def _flush(self, batch: list[_Pending]) -> None:
@@ -191,7 +191,7 @@ class BatchScheduler:
 
     @property
     def queued(self) -> int:
-        """Requests sitting in the current linger window."""
+        """Requests waiting for their flush."""
         return len(self._queue)
 
     def stats(self) -> dict[str, Any]:
@@ -207,7 +207,6 @@ class BatchScheduler:
             ),
             "queued": len(self._queue),
             "max_batch": self.max_batch,
-            "linger_seconds": self.linger,
         }
 
     # -- lifecycle -------------------------------------------------------

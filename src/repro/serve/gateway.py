@@ -524,8 +524,8 @@ class Gateway:
             body, tenant.service.ossm.n_items
         )
         # The epoch comes back with the bounds: a publish landing while
-        # the request waits in the linger window must not pair the new
-        # map's bounds with the old map's epoch.
+        # the request queues behind the in-flight batch must not pair
+        # the new map's bounds with the old map's epoch.
         bounds = await tenant.query_batch(itemsets)
         payload: dict[str, Any] = {
             "tenant": name,

@@ -281,8 +281,8 @@ class TenantRegistry:
         Defaults forwarded to every tenant's
         :class:`~repro.serve.service.BoundQueryService` (same names as
         its constructor).
-    max_batch / linger:
-        Defaults forwarded to every tenant's
+    max_batch:
+        Default forwarded to every tenant's
         :class:`~repro.serve.admission.BatchScheduler`.
     clock:
         Monotonic time source for quota buckets, injectable for tests.
@@ -305,7 +305,6 @@ class TenantRegistry:
         slo_target: float | None = None,
         slo_objective: float = 0.99,
         max_batch: int = 512,
-        linger: float = 0.002,
         clock: Callable[[], float] = time.monotonic,
         store: TenantStore | None = None,
     ) -> None:
@@ -318,7 +317,6 @@ class TenantRegistry:
         self.slo_target = slo_target
         self.slo_objective = float(slo_objective)
         self.max_batch = int(max_batch)
-        self.linger = float(linger)
         self._clock = clock
         self.store = store
         self._tenants: dict[str, Tenant] = {}
@@ -349,7 +347,6 @@ class TenantRegistry:
         scheduler = BatchScheduler(
             service,
             max_batch=self.max_batch,
-            linger=self.linger,
             bucket=quota.bucket(self._clock),
             tenant=name,
         )

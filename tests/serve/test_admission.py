@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.resilience import FaultPlan, FaultRule, use_faults
 from repro.serve import (
     BatchScheduler,
     BoundQueryService,
@@ -19,7 +20,7 @@ class TestCoalescing:
     def test_results_align_with_each_request(self, ossm):
         async def main():
             async with BoundQueryService(ossm) as service:
-                scheduler = BatchScheduler(service, linger=0.005)
+                scheduler = BatchScheduler(service)
                 async with scheduler:
                     first = scheduler.submit([(1, 2), (3,)])
                     second = scheduler.submit([(4, 5)])
@@ -31,16 +32,16 @@ class TestCoalescing:
                 assert c == [ossm.upper_bound((3,)),
                              ossm.upper_bound((1, 2)),
                              ossm.upper_bound((6,))]
-                # All three rode one linger window: one service batch.
+                # All three were submitted in one tick: one service batch.
                 assert scheduler.stats()["batches"] == 1
                 assert service.stats()["slo"]["requests"] == 1
 
         asyncio.run(main())
 
-    def test_zero_linger_still_coalesces_same_tick(self, ossm):
+    def test_many_same_tick_submitters_coalesce(self, ossm):
         async def main():
             async with BoundQueryService(ossm) as service:
-                async with BatchScheduler(service, linger=0.0) as sched:
+                async with BatchScheduler(service) as sched:
                     results = await asyncio.gather(
                         *(sched.submit([(i,)]) for i in range(8))
                     )
@@ -54,9 +55,7 @@ class TestCoalescing:
     def test_max_batch_splits_flushes(self, ossm):
         async def main():
             async with BoundQueryService(ossm) as service:
-                scheduler = BatchScheduler(
-                    service, linger=0.005, max_batch=3
-                )
+                scheduler = BatchScheduler(service, max_batch=3)
                 async with scheduler:
                     results = await asyncio.gather(
                         *(scheduler.submit([(i,), (i + 1,)])
@@ -70,6 +69,45 @@ class TestCoalescing:
                 assert scheduler.stats()["batches"] >= 2
 
         asyncio.run(main())
+
+    def test_arrivals_during_evaluation_ride_one_batch(self, ossm):
+        """Requests submitted on separate ticks while a batch is held
+        in evaluation queue behind it and flush together, as exactly
+        one following batch, once it returns."""
+        plan = FaultPlan(
+            [FaultRule(point="serve.latency", times=1, delay=0.5)]
+        )
+        followers = [[(i,), (i, i + 1)] for i in range(2, 7)]
+
+        async def main():
+            async with BoundQueryService(ossm) as service:
+                async with BatchScheduler(service) as scheduler:
+                    first = asyncio.create_task(scheduler.submit([(1,)]))
+                    while service.pending == 0:  # first batch evaluating
+                        await asyncio.sleep(0.001)
+                    waits = []
+                    for itemsets in followers:
+                        waits.append(asyncio.create_task(
+                            scheduler.submit(itemsets)
+                        ))
+                        await asyncio.sleep(0.01)
+                    assert scheduler.queued == len(followers)
+                    assert scheduler.stats()["batches"] == 1
+                    assert await first == [ossm.upper_bound((1,))]
+                    results = await asyncio.gather(*waits)
+                assert results == [
+                    [ossm.upper_bound(s) for s in itemsets]
+                    for itemsets in followers
+                ]
+                stats = scheduler.stats()
+                assert stats["batches"] == 2
+                assert stats["coalesced_queries_per_batch"] == (
+                    1 + 2 * len(followers)
+                ) / 2
+                assert service.stats()["slo"]["requests"] == 2
+
+        with use_faults(plan):
+            asyncio.run(asyncio.wait_for(main(), 10))
 
     def test_empty_submission_is_free(self, ossm):
         async def main():
@@ -142,7 +180,7 @@ class TestLifecycle:
     def test_service_errors_reach_every_waiter(self, ossm):
         async def main():
             async with BoundQueryService(ossm) as service:
-                async with BatchScheduler(service, linger=0.005) as sched:
+                async with BatchScheduler(service) as sched:
                     bad = N_ITEMS + 5
                     waits = [
                         sched.submit([(bad,)]),

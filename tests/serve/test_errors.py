@@ -146,3 +146,18 @@ class TestNamingConsistency:
             inspect.signature(Session.serve),
         ):
             assert "workers" not in signature.parameters
+
+    def test_admission_takes_no_linger_knob(self, ossm):
+        """Batches flush on the next loop tick, with no timer to tune."""
+        from repro.serve import BatchScheduler, TenantRegistry
+
+        for signature in (
+            inspect.signature(BatchScheduler.__init__),
+            inspect.signature(TenantRegistry.__init__),
+            inspect.signature(TenantRegistry.create),
+            inspect.signature(Session.serve),
+        ):
+            assert "linger" not in signature.parameters
+        scheduler = BatchScheduler(BoundQueryService(ossm))
+        assert not hasattr(scheduler, "linger")
+        assert "linger_seconds" not in scheduler.stats()

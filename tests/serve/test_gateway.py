@@ -337,12 +337,14 @@ class TestEpochBumpDuringBatch:
             run(main())
 
 
-    def test_publish_in_linger_window_labels_the_answering_epoch(
+    def test_publish_behind_inflight_batch_labels_the_answering_epoch(
         self, ossm, tmp_path
     ):
-        """A PUT landing while a bounds request waits in the admission
-        linger window: the response reports the epoch of the map that
-        answered it, so bound and epoch always belong together."""
+        """A PUT landing while a bounds request queues behind the
+        tenant's in-flight batch: the request rides the next batch,
+        which runs against the new map, and the response reports the
+        epoch of the map that answered it, so bound and epoch always
+        belong together."""
         other = OSSM(np.asarray(ossm.matrix) * 3)
         other_path = tmp_path / "other.npz"
         other.save(other_path)
@@ -352,36 +354,51 @@ class TestEpochBumpDuringBatch:
         assert other.upper_bound(tuple(itemset)) != ossm.upper_bound(
             tuple(itemset)
         )
+        # The first batch sleeps in evaluation; the release is the end
+        # of its delay.
+        plan = FaultPlan(
+            [FaultRule(point="serve.latency", times=1, delay=0.4)]
+        )
 
         async def main():
-            # A long linger holds the request open across the PUT.
-            tenants = TenantRegistry(linger=0.5)
-            try:
-                async with Gateway(tenants) as gateway:
-                    tenants.create("acme", ossm)
-                    inflight = asyncio.create_task(
-                        post_json(
-                            gateway, "/v1/tenants/acme/bounds",
-                            {"itemset": itemset},
-                        )
+            async with Gateway() as gateway:
+                tenant = gateway.tenants.create("acme", ossm)
+                first = asyncio.create_task(
+                    post_json(
+                        gateway, "/v1/tenants/acme/bounds",
+                        {"itemset": [3]},
                     )
-                    await asyncio.sleep(0.1)  # request is lingering
-                    status, _, body = await http(
-                        gateway, "PUT", "/v1/tenants/acme/ossm", other_blob
+                )
+                while tenant.service.pending == 0:  # first batch held
+                    await asyncio.sleep(0.001)
+                inflight = asyncio.create_task(
+                    post_json(
+                        gateway, "/v1/tenants/acme/bounds",
+                        {"itemset": itemset},
                     )
-                    assert status == 200
-                    assert json.loads(body)["epoch"] == 1
-                    status, _, body = await inflight
-                    assert status == 200
-                    payload = json.loads(body)
-                    assert payload["bound"] == maps[
-                        payload["epoch"]
-                    ].upper_bound(tuple(itemset))
-                    assert payload["epoch"] == 1
-            finally:
-                await tenants.aclose()
+                )
+                while tenant.scheduler.queued == 0:  # queued behind it
+                    await asyncio.sleep(0.001)
+                status, _, body = await http(
+                    gateway, "PUT", "/v1/tenants/acme/ossm", other_blob
+                )
+                assert status == 200
+                assert json.loads(body)["epoch"] == 1
+                # Still held: the queued request has not been flushed.
+                assert tenant.scheduler.queued == 1
+                status, _, body = await first
+                assert status == 200
+                assert json.loads(body)["epoch"] == 0
+                status, _, body = await inflight
+                assert status == 200
+                payload = json.loads(body)
+                assert payload["bound"] == maps[
+                    payload["epoch"]
+                ].upper_bound(tuple(itemset))
+                assert payload["epoch"] == 1
 
-        run(main())
+        with use_faults(plan):
+            run(asyncio.wait_for(main(), 10))
 
 
 class TestStatsAndOps:

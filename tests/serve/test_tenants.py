@@ -245,12 +245,13 @@ class TestPublish:
         asyncio.run(main())
 
 
-    def test_publish_in_linger_window_labels_the_answering_epoch(
+    def test_publish_before_flush_labels_the_answering_epoch(
         self, ossm
     ):
-        """A publish landing while a request waits in the admission
-        linger window: the request is answered from the new map, so it
-        must carry the new map's epoch, never the old one's."""
+        """A publish landing while a request is queued for its flush
+        (admitted, not yet dispatched to the service): the request is
+        answered from the new map, so it must carry the new map's
+        epoch, never the old one's."""
         import numpy as np
 
         from repro.core import OSSM
@@ -264,7 +265,7 @@ class TestPublish:
                 tenant = tenants.create("acme", ossm)
                 assert tenant.epoch == 0
                 task = asyncio.create_task(tenant.query_batch([itemset]))
-                await asyncio.sleep(0)  # queued in the linger window
+                await asyncio.sleep(0)  # queued; flushes next tick
                 assert tenants.publish("acme", other) == 1
                 bounds = await task
                 maps = {0: ossm, 1: other}
