@@ -20,7 +20,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Sequence
 
+import numpy as np
+
+from ..core.itemset_table import ItemsetTable, as_array
 from ..data.transactions import TransactionDatabase
 from ..obs.instrument import record_bound_gaps, record_level_stats
 from ..obs.log import get_logger
@@ -33,6 +37,8 @@ from .itemsets import apriori_gen
 from .pruning import CandidatePruner, NullPruner
 
 __all__ = ["Apriori", "apriori"]
+
+Itemset = tuple[int, ...]
 
 logger = get_logger(__name__)
 
@@ -133,27 +139,26 @@ class Apriori:
             if restored is not None:
                 k, state = restored
                 result.frequent = dict(state["frequent"])
-                frequent_prev = list(state["frequent_prev"])
+                frequent_prev = state["frequent_prev"]
                 MiningCheckpointer.unpack_levels(result, state["levels"])
             else:
-                # Level 1: count all singletons directly.
+                # Level 1: every singleton, counted by one bincount.
                 with trace("apriori.level", level=1):
                     level_crash_point()
-                    supports = database.item_supports()
                     level1 = result.level(1)
                     level1.candidates_generated = database.n_items
-                    singletons = [
-                        (int(item),) for item in range(database.n_items)
+                    singletons = ItemsetTable(
+                        np.arange(database.n_items)[:, None]
+                    )
+                    survivors = self.pruner.prune(singletons, threshold)
+                    level1.candidates_pruned = (
+                        len(singletons) - len(survivors)
+                    )
+                    level1.candidates_counted = len(survivors)
+                    supports = database.item_supports()[
+                        as_array(survivors).ravel()
                     ]
-                    pruned1 = self.pruner.prune(singletons, threshold)
-                    level1.candidates_pruned = len(singletons) - len(pruned1)
-                    level1.candidates_counted = len(pruned1)
-                    frequent_prev = []
-                    for itemset in pruned1:
-                        support = int(supports[itemset[0]])
-                        if support >= threshold:
-                            result.frequent[itemset] = support
-                            frequent_prev.append(itemset)
+                    frequent_prev = result.keep_frequent(survivors, supports)
                     level1.frequent = len(frequent_prev)
                     record_level_stats(self.name, level1)
                 self._log_level(level1)
@@ -180,14 +185,9 @@ class Apriori:
                     )
                     stats.candidates_counted = len(survivors)
                     with metrics.time("apriori.count_seconds"):
-                        counts = self.counter.count(database, survivors)
-                    record_bound_gaps(self.pruner, survivors, counts)
-                    frequent_prev = []
-                    for itemset, support in counts.items():
-                        if support >= threshold:
-                            result.frequent[itemset] = support
-                            frequent_prev.append(itemset)
-                    frequent_prev.sort()
+                        supports = self.counter.supports(database, survivors)
+                    record_bound_gaps(self.pruner, survivors, supports)
+                    frequent_prev = result.keep_frequent(survivors, supports)
                     stats.frequent = len(frequent_prev)
                     record_level_stats(self.name, stats)
                 self._log_level(stats)
@@ -203,12 +203,15 @@ class Apriori:
         return result
 
     @staticmethod
-    def _snapshot(result: MiningResult, frequent_prev: list) -> dict:
+    def _snapshot(
+        result: MiningResult, frequent_prev: Sequence[Itemset]
+    ) -> dict:
         """Exact loop state carried into the next level (see
-        :mod:`repro.mining.checkpointing` for the bit-identity contract)."""
+        :mod:`repro.mining.checkpointing` for the bit-identity contract).
+        The frequent level is immutable, so it is stored as it is."""
         return {
             "frequent": dict(result.frequent),
-            "frequent_prev": list(frequent_prev),
+            "frequent_prev": frequent_prev,
             "levels": MiningCheckpointer.pack_levels(result),
         }
 

@@ -10,8 +10,11 @@ Figure 4(b) and the Section 7 table report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
+import numpy as np
+
+from ..core.itemset_table import select
 from ..data.transactions import TransactionDatabase
 
 __all__ = [
@@ -110,6 +113,22 @@ class MiningResult:
         while len(self.levels) < k:
             self.levels.append(LevelStats(level=len(self.levels) + 1))
         return self.levels[k - 1]
+
+    def keep_frequent(
+        self, counted: Sequence[Itemset], supports: np.ndarray
+    ) -> Sequence[Itemset]:
+        """Record the *counted* itemsets whose support reaches
+        ``min_support`` and return them.
+
+        *supports* is aligned with *counted*. A table stays a table, in
+        its row order, so a lex-sorted level feeds the next
+        ``apriori_gen`` as it is; tuples are built once, as the
+        ``frequent`` keys.
+        """
+        keep = supports >= self.min_support
+        frequent = select(counted, keep)
+        self.frequent.update(zip(frequent, supports[keep].tolist()))
+        return frequent
 
     def itemsets_of_size(self, k: int) -> dict[Itemset, int]:
         """Frequent itemsets of cardinality *k* with their supports."""

@@ -205,7 +205,7 @@ class BitmapCounter(SupportCounter):
 
     The packing is paid once per database object and cached (the
     Apriori level loop counts the same database every level), guarded
-    by a lock so concurrent :meth:`count` calls from many threads pack
+    by a lock so concurrent :meth:`supports` calls from many threads pack
     once and then share the read-only matrix. The cache pins a strong
     reference to the bound database, so a recycled ``id`` can never
     alias a stale packing.
@@ -247,28 +247,28 @@ class BitmapCounter(SupportCounter):
 
     # -- counting --------------------------------------------------------
 
-    def count(
+    def supports(
         self,
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
-    ) -> dict[Itemset, int]:
+    ) -> np.ndarray:
         with get_registry().time("counting.bitmap_seconds"):
-            return self._count(database, candidates)
+            return self._supports(database, candidates)
 
-    def _count(
+    def _supports(
         self,
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
-    ) -> dict[Itemset, int]:
+    ) -> np.ndarray:
         if not len(candidates):
-            return {}
+            return np.zeros(0, dtype=np.int64)
         table = as_array(candidates)
         if not isinstance(database, TransactionDatabase):
             database = TransactionDatabase(database)
         n_transactions = len(database)
         if not table.shape[1]:
             # The empty itemset is contained in every transaction.
-            return dict.fromkeys(candidates, n_transactions)
+            return np.full(len(table), n_transactions, dtype=np.int64)
         supports = np.zeros(len(table), dtype=np.int64)
         if n_transactions:
             packed = self._pack(database)
@@ -285,10 +285,9 @@ class BitmapCounter(SupportCounter):
                 ):
                     found = self._candidate_counts(packed, counted)
                 if inside is None:
-                    supports = found
-                else:
-                    supports[inside] = found
-        return dict(zip(candidates, supports.tolist()))
+                    return found
+                supports[inside] = found
+        return supports
 
     def _candidate_counts(
         self, packed: PackedBitmap, table: np.ndarray
@@ -310,7 +309,7 @@ class BitmapCounter(SupportCounter):
     ) -> np.ndarray:
         """Per-segment supports: ``n_segments × n_candidates`` int64.
 
-        Column sums equal :meth:`count` exactly (the segment masks
+        Column sums equal :meth:`supports` exactly (the segment masks
         partition the transaction bits). All candidates must be
         in-domain and share one cardinality ``k >= 1``.
         """

@@ -196,13 +196,12 @@ class CorrelationMiner:
             survivors = self.pruner.prune(raw, threshold)
             stats.candidates_pruned = len(raw) - len(survivors)
             stats.candidates_counted = len(survivors)
-            counts = counter.count(database, survivors)
+            frequent = accounting.keep_frequent(
+                survivors, counter.supports(database, survivors)
+            )
+            stats.frequent = len(frequent)
             frontier = []
-            for candidate, support in counts.items():
-                if support < threshold:
-                    continue
-                accounting.frequent[candidate] = support
-                stats.frequent += 1
+            for candidate in frequent:
                 table = contingency_table(database, candidate)
                 if table.min_expected() < self.min_expected:
                     continue  # test invalid at this sample size

@@ -12,12 +12,14 @@ OSSM attacks, so the engine is pluggable:
   original Apriori hash-tree, provided for fidelity and for workloads
   with long transactions where subset enumeration explodes.
 
-Both return exact counts and are interchangeable in every miner.
+Both return exact counts and are interchangeable in every miner. Every
+engine hands its counts over as an int64 vector aligned with the
+candidates (:meth:`SupportCounter.supports`), so a miner keeps each
+level in arrays.
 """
 
 from __future__ import annotations
 
-import abc
 import os
 from itertools import combinations
 from collections.abc import Iterable, Sequence
@@ -39,6 +41,7 @@ __all__ = [
     "count_supports",
     "make_counter",
     "make_pool",
+    "ordered_supports",
     "register_engine",
     "registered_engines",
     "resolve_engine",
@@ -47,44 +50,101 @@ __all__ = [
 Itemset = tuple[int, ...]
 
 
-class SupportCounter(abc.ABC):
+class SupportCounter:
     """Interface of a counting engine.
+
+    The counting seam is :meth:`supports`: an int64 vector aligned with
+    the candidate rows, so a miner keeps a whole level in arrays.
+    :meth:`count` is its dict view, ``{candidate: support}``. A subclass
+    overrides at least one of the two; each default is written in terms
+    of the other, and a subclass that overrides neither is a
+    ``TypeError`` at class creation.
 
     Every engine honors one edge-case contract, so engines are
     interchangeable on degenerate inputs as well as ordinary ones:
 
-    * no candidates → ``{}``;
+    * no candidates → an empty vector (``{}``);
     * empty database → every candidate counts 0;
     * the empty itemset ``()`` → the transaction count (it is contained
       in every transaction, matching ``TransactionDatabase.support``);
     * items outside the database's domain (negative or ≥ ``n_items``)
       → 0, never an error;
-    * mixed candidate cardinalities → ``ValueError``.
+    * mixed candidate cardinalities → ``ValueError``;
+    * a repeated candidate gets its support at every position.
 
     ``tests/mining/test_counting.py`` holds the cross-engine contract
     suite; the differential harness in ``tests/parallel`` extends it to
     every counter :func:`make_counter` builds for a ``workers=`` request.
     """
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if (
+            cls.supports is SupportCounter.supports
+            and cls.count is SupportCounter.count
+        ):
+            raise TypeError(
+                f"{cls.__name__} must override supports() or count()"
+            )
+
+    def supports(
+        self,
+        database: Iterable[Itemset] | TransactionDatabase,
+        candidates: Sequence[Itemset],
+    ) -> np.ndarray:
+        """Exact int64 supports aligned with *candidates* (one cardinality).
+
+        This default reads them out of :meth:`count`, one lookup per
+        position (the dict's order is the subclass's own), so repeated
+        candidates stay aligned.
+        """
+        counts = self.count(database, candidates)
+        return np.fromiter(
+            map(counts.__getitem__, candidates),
+            dtype=np.int64, count=len(candidates),
+        )
+
     def count(
         self,
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
     ) -> dict[Itemset, int]:
         """Exact support of every candidate (all of one cardinality)."""
+        return dict(
+            zip(candidates, self.supports(database, candidates).tolist())
+        )
+
+
+def ordered_supports(
+    counts: dict[Itemset, int], candidates: Sequence[Itemset]
+) -> np.ndarray:
+    """The support vector of a dict keyed in candidate order.
+
+    A dict built by iterating *candidates* (``{c: 0 for c in
+    candidates}``) is: without repeats its values are the vector, and
+    with a repeat (fewer keys than candidates) each position is looked
+    up.
+    """
+    if len(counts) == len(candidates):
+        return np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    return np.fromiter(
+        map(counts.__getitem__, candidates),
+        dtype=np.int64, count=len(candidates),
+    )
 
 
 class SubsetCounter(SupportCounter):
     """Per-transaction subset enumeration against a candidate hash table."""
 
-    def count(
+    def supports(
         self,
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
-    ) -> dict[Itemset, int]:
+    ) -> np.ndarray:
         with get_registry().time("counting.subset_seconds"):
-            return self._count(database, candidates)
+            return ordered_supports(
+                self._count(database, candidates), candidates
+            )
 
     def _count(
         self,
@@ -157,39 +217,38 @@ class TidsetCounter(SupportCounter):
             self._database = database
         return tidsets
 
-    def count(
+    def supports(
         self,
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
-    ) -> dict[Itemset, int]:
+    ) -> np.ndarray:
         with get_registry().time("counting.tidset_seconds"):
-            return self._count(database, candidates)
+            return self._supports(database, candidates)
 
-    def _count(
+    def _supports(
         self,
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
-    ) -> dict[Itemset, int]:
+    ) -> np.ndarray:
         if not isinstance(database, TransactionDatabase):
             database = TransactionDatabase(database)
         if not len(candidates):
-            return {}
+            return np.zeros(0, dtype=np.int64)
         table = as_array(candidates)
         if not table.shape[1]:
             # The empty itemset is contained in every transaction.
-            return dict.fromkeys(candidates, len(database))
+            return np.full(len(table), len(database), dtype=np.int64)
         flat, offsets = self._vertical(database)
         # Out-of-domain items occur in no transaction: those candidates
         # count 0 without touching a tidset.
         inside = domain_mask(table, database.n_items)
         if inside is None:
-            supports = _prefix_counts(flat, offsets, table, len(database))
-        else:
-            supports = np.zeros(len(table), dtype=np.int64)
-            supports[inside] = _prefix_counts(
-                flat, offsets, table[inside], len(database)
-            )
-        return dict(zip(candidates, supports.tolist()))
+            return _prefix_counts(flat, offsets, table, len(database))
+        supports = np.zeros(len(table), dtype=np.int64)
+        supports[inside] = _prefix_counts(
+            flat, offsets, table[inside], len(database)
+        )
+        return supports
 
 
 def _prefix_counts(

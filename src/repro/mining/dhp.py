@@ -38,7 +38,7 @@ from ..obs.metrics import get_registry
 from ..obs.trace import trace
 from .base import MiningResult, resolve_min_support
 from .checkpointing import MiningCheckpointer, level_crash_point
-from .counting import make_pool
+from .counting import make_pool, ordered_supports
 from .itemsets import apriori_gen
 from .pruning import CandidatePruner, NullPruner
 
@@ -339,7 +339,7 @@ class DHP:
     @staticmethod
     def _snapshot(
         result: MiningResult,
-        frequent_prev: list[Itemset],
+        frequent_prev: Sequence[Itemset],
         buckets: np.ndarray | None,
         transactions: list[Itemset],
     ) -> dict:
@@ -393,7 +393,7 @@ class DHP:
             if restored is not None:
                 k, state = restored
                 result.frequent = dict(state["frequent"])
-                frequent_prev: list[Itemset] = list(state["frequent_prev"])
+                frequent_prev: Sequence[Itemset] = list(state["frequent_prev"])
                 MiningCheckpointer.unpack_levels(result, state["levels"])
                 buckets = state["buckets"]
                 transactions: list[Itemset] = list(state["transactions"])
@@ -470,14 +470,9 @@ class DHP:
                             counts, buckets, transactions = self._count_pass(
                                 transactions, survivors, k, build_next
                             )
-                    record_bound_gaps(self.pruner, survivors, counts)
-                    frequent_prev = sorted(
-                        itemset
-                        for itemset, support in counts.items()
-                        if support >= threshold
-                    )
-                    for itemset in frequent_prev:
-                        result.frequent[itemset] = counts[itemset]
+                    supports = ordered_supports(counts, survivors)
+                    record_bound_gaps(self.pruner, survivors, supports)
+                    frequent_prev = result.keep_frequent(survivors, supports)
                     stats.frequent = len(frequent_prev)
                     record_level_stats(self.name, stats)
                 logger.debug(

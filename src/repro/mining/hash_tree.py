@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from ..data.transactions import TransactionDatabase
-from .counting import SupportCounter, register_engine
+from .counting import SupportCounter, ordered_supports, register_engine
 
 __all__ = ["HashTree", "HashTreeCounter"]
 
@@ -140,16 +142,16 @@ class HashTreeCounter(SupportCounter):
         self.branch = branch
         self.leaf_capacity = leaf_capacity
 
-    def count(
+    def supports(
         self,
         database: Iterable[Itemset] | TransactionDatabase,
         candidates: Sequence[Itemset],
-    ) -> dict[Itemset, int]:
+    ) -> np.ndarray:
         counts: dict[Itemset, int] = {
             candidate: 0 for candidate in candidates
         }
         if not counts:
-            return counts
+            return np.zeros(0, dtype=np.int64)
         k = len(candidates[0])
         if any(len(candidate) != k for candidate in candidates):
             raise ValueError("candidates must share one cardinality")
@@ -162,15 +164,15 @@ class HashTreeCounter(SupportCounter):
                 if isinstance(database, TransactionDatabase)
                 else sum(1 for _ in database)
             )
-            for candidate in counts:
-                counts[candidate] = total
-            return counts
+            return np.full(len(candidates), total, dtype=np.int64)
         tree = HashTree(k, branch=self.branch, leaf_capacity=self.leaf_capacity)
-        for candidate in candidates:
+        # One leaf entry per distinct candidate: a repeated one would
+        # be counted once per copy.
+        for candidate in counts:
             tree.insert(candidate)
         for txn in database:
             tree.count_transaction(txn, counts)
-        return counts
+        return ordered_supports(counts, candidates)
 
 
 register_engine("hashtree", HashTreeCounter)

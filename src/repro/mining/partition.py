@@ -300,12 +300,11 @@ class Partition:
                         )
                         level.candidates_counted = len(survivors)
                         with metrics.time("partition.count_seconds"):
-                            counts = counter.count(database, survivors)
-                        record_bound_gaps(global_pruner, survivors, counts)
-                        for itemset, support in counts.items():
-                            if support >= threshold:
-                                result.frequent[itemset] = support
-                                level.frequent += 1
+                            supports = counter.supports(database, survivors)
+                        record_bound_gaps(global_pruner, survivors, supports)
+                        level.frequent = len(
+                            result.keep_frequent(survivors, supports)
+                        )
                         record_level_stats(self.name, level)
                     done_levels.add(k)
                     if ckpt is not None:

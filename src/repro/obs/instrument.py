@@ -19,7 +19,9 @@ return.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .metrics import get_registry
 
@@ -60,27 +62,29 @@ def record_level_stats(algorithm: str, stats) -> None:
 def record_bound_gaps(
     pruner,
     counted: Sequence[Itemset],
-    supports: Mapping[Itemset, int],
+    supports: np.ndarray,
 ) -> None:
     """Observe ``ŝup − sup`` for candidates that were exactly counted.
 
-    *pruner* must expose ``candidate_bounds`` (the
+    *supports* is the int64 vector aligned with *counted*, as a
+    counter's ``supports`` returns it. *pruner* must expose
+    ``candidate_bounds`` (the
     :class:`~repro.mining.pruning.CandidatePruner` protocol); pruners
     without a bound (e.g. the null pruner) return ``None`` and nothing
     is recorded. Recomputing the bounds costs one vectorized Equation
-    (1) pass, paid only when metrics are enabled.
+    (1) pass and one vector subtraction, paid only when metrics are
+    enabled.
     """
     registry = get_registry()
-    if not registry.enabled or not counted:
+    if not registry.enabled or not len(counted):
         return
     bounds = pruner.candidate_bounds(counted)
     if bounds is None:
         return
     histogram = registry.histogram("ossm.bound_gap", BOUND_GAP_BUCKETS)
-    for itemset, bound in zip(counted, bounds):
-        support = supports.get(itemset)
-        if support is not None:
-            histogram.observe(int(bound) - int(support))
+    gaps = np.asarray(bounds, dtype=np.int64) - supports
+    for gap in gaps.tolist():
+        histogram.observe(gap)
 
 
 def record_ossm_build(ossm, algorithm: str | None = None) -> None:

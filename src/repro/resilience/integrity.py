@@ -165,7 +165,9 @@ def verified_load_npz(
     """
     metrics = get_registry()
     try:
-        with np.load(os.fspath(path)) as archive:
+        # np.load given a path leaves its own handle open when a damaged
+        # zip makes it raise; a handle opened here closes on every path.
+        with open(path, "rb") as handle, np.load(handle) as archive:
             names = list(archive.files)
             payload = {
                 name: archive[name]

@@ -22,7 +22,10 @@ from repro import (
     use_recorder,
     use_registry,
 )
+from repro.mining.itemsets import apriori_gen
 from repro.mining.pruning import ChainPruner, NullPruner
+from repro.obs.instrument import BOUND_GAP_BUCKETS
+from repro.obs.metrics import Histogram
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,27 @@ class TestAprioriSmoke:
         assert gap["count"] > 0
         # Soundness: the Equation (1) bound never undershoots.
         assert gap["min"] >= 0
+
+    def test_bound_gap_histogram_is_every_counted_gap(self, workload):
+        # Oracle: replay the levels from the result and observe
+        # bound − support for every survivor of Equation (1) pruning.
+        db, ossm = workload
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = Apriori(pruner=OSSMPruner(ossm), max_level=3).mine(
+                db, 0.05
+            )
+        expected = Histogram("ossm.bound_gap", BOUND_GAP_BUCKETS)
+        for k in range(2, len(result.levels) + 1):
+            prior = sorted(x for x in result.frequent if len(x) == k - 1)
+            survivors, _ = ossm.prune(apriori_gen(prior), result.min_support)
+            for itemset in survivors:
+                expected.observe(ossm.upper_bound(itemset) - db.support(itemset))
+        assert expected.count > 0
+        assert (
+            registry.snapshot()["histograms"]["ossm.bound_gap"]
+            == expected.snapshot()
+        )
 
     def test_timers_recorded(self, workload):
         db, ossm = workload

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.itemset_table import ItemsetTable
 from repro.data import generate_quest
 from repro.mining import DHP, Apriori, Partition
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -117,6 +118,33 @@ class TestMinerResume:
         saved = sorted(p.name for p in tmp_path.glob("*.ckpt"))
         assert saved == ["level_0001.ckpt", "level_0002.ckpt"]
         resumed = factory(checkpoint_dir=tmp_path, resume=True).mine(db, 0.02)
+        _assert_bit_identical(resumed, base)
+
+    def test_table_level_resumes_bit_identical(self, tmp_path, db):
+        # The snapshot carries the frequent level as the table the loop
+        # feeds to apriori_gen, and the resume starts from that table.
+        base = Apriori(engine="bitmap").mine(db, 0.02)
+        plan = FaultPlan.from_spec("mining.level_crash:after=2", seed=7)
+        with use_faults(plan):
+            with pytest.raises(InjectedFault):
+                Apriori(engine="bitmap", checkpoint_dir=tmp_path).mine(
+                    db, 0.02
+                )
+        store = CheckpointStore(
+            tmp_path,
+            mining_fingerprint(
+                base.algorithm, base.min_support, db, max_level=None
+            ),
+        )
+        level, state = store.latest()
+        assert level == 2
+        assert isinstance(state["frequent_prev"], ItemsetTable)
+        assert list(state["frequent_prev"]) == sorted(
+            itemset for itemset in base.frequent if len(itemset) == 2
+        )
+        resumed = Apriori(
+            engine="bitmap", checkpoint_dir=tmp_path, resume=True
+        ).mine(db, 0.02)
         _assert_bit_identical(resumed, base)
 
     def test_partition_resume_after_phase2_crash(self, tmp_path, db):

@@ -1,6 +1,8 @@
 """Artifact integrity: atomic publish, checksums, corrupt-load paths."""
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +83,19 @@ class TestCorruptLoads:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CorruptArtifact, match="unreadable archive"):
             verified_load_npz(path, kind=KIND)
+
+    def test_truncated_archive_leaves_no_open_handle(self, tmp_path, payload):
+        path = tmp_path / "artifact.npz"
+        atomic_savez(path, payload, kind=KIND)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CorruptArtifact):
+                verified_load_npz(path, kind=KIND)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_garbage_bytes(self, tmp_path):
         path = tmp_path / "junk.npz"
