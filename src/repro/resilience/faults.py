@@ -23,7 +23,7 @@ point                     effect when the rule fires
 ``mining.level_crash``    the miner dies at the top of a level (use
                           ``after=`` to pick which level hit)
 ``serve.eval_error``      one service batch evaluation raises
-``serve.latency``         one service batch evaluation sleeps ``delay``
+``serve.latency``         one service batch awaits ``asyncio.sleep(delay)``
 ``serve.wal.mid_append``  a WAL append sleeps ``delay`` with only the
                           first half of the frame durable — a SIGKILL
                           in the window leaves a real torn tail

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
@@ -40,18 +40,11 @@ __all__ = ["BatchScheduler"]
 logger = get_logger(__name__)
 
 
-class _Pending:
+class _Pending(NamedTuple):
     """One submitted request waiting for its flush."""
 
-    __slots__ = ("itemsets", "future")
-
-    def __init__(
-        self,
-        itemsets: list[Iterable[int]],
-        future: "asyncio.Future[EpochBounds]",
-    ) -> None:
-        self.itemsets = itemsets
-        self.future = future
+    itemsets: list[Iterable[int]]
+    future: "asyncio.Future[EpochBounds]"
 
 
 class BatchScheduler:
@@ -87,7 +80,6 @@ class BatchScheduler:
         self.tenant = tenant
         self._queue: list[_Pending] = []
         self._flusher: asyncio.Task[None] | None = None
-        self._tasks: set[asyncio.Task[None]] = set()
         self._closed = False
         self._requests = 0
         self._queries = 0
@@ -134,10 +126,7 @@ class BatchScheduler:
         )
         self._queue.append(_Pending(materialized, future))
         if self._flusher is None or self._flusher.done():
-            task = asyncio.create_task(self._drain())
-            self._flusher = task
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            self._flusher = asyncio.create_task(self._drain())
         return await future
 
     # -- flushing --------------------------------------------------------
@@ -214,8 +203,8 @@ class BatchScheduler:
     async def aclose(self) -> None:
         """Flush or fail everything queued; refuse new submissions."""
         self._closed = True
-        if self._tasks:
-            await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
+        if self._flusher is not None:
+            await asyncio.gather(self._flusher, return_exceptions=True)
         leftovers = self._queue
         self._queue = []
         closed = ServiceClosed("batch scheduler")

@@ -57,6 +57,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..resilience import CorruptArtifact, IntegrityError
 from .errors import Draining, InvalidRequest, ServeError
+from .service import canonical_itemset
 from .tenants import TenantRegistry, validate_tenant_name
 
 __all__ = ["Gateway"]
@@ -145,8 +146,9 @@ def _load_ossm_artifact(data: bytes) -> OSSM:
 
 def _parse_itemsets(
     body: bytes, n_items: int
-) -> tuple[list[list[int]], bool]:
-    """The itemsets of a ``/bounds`` request, validated up front.
+) -> tuple[list[tuple[int, ...]], bool]:
+    """The canonical itemsets of a ``/bounds`` request, validated up
+    front.
 
     Returns ``(itemsets, single)`` where *single* means the client sent
     ``{"itemset": [...]}`` and expects a scalar ``bound`` back.
@@ -173,26 +175,16 @@ def _parse_itemsets(
     raw = [payload["itemset"]] if has_single else payload["itemsets"]
     if not isinstance(raw, list):
         raise InvalidRequest('"itemsets" must be a JSON array')
-    itemsets: list[list[int]] = []
+    itemsets: list[tuple[int, ...]] = []
     for position, candidate in enumerate(raw):
         if not isinstance(candidate, list):
             raise InvalidRequest(
                 f"itemset #{position} must be a JSON array of item ids"
             )
-        items: list[int] = []
-        for item in candidate:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise InvalidRequest(
-                    f"itemset #{position} holds a non-integer item "
-                    f"{item!r}"
-                )
-            if not 0 <= item < n_items:
-                raise InvalidRequest(
-                    f"item {item} out of range for a map over "
-                    f"{n_items} items"
-                )
-            items.append(item)
-        itemsets.append(items)
+        try:
+            itemsets.append(canonical_itemset(candidate, n_items))
+        except ValueError as exc:
+            raise InvalidRequest(f"itemset #{position}: {exc}") from None
     return itemsets, has_single
 
 

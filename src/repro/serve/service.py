@@ -8,7 +8,7 @@ with:
   (:class:`~repro.serve.cache.EpochLRUCache`), invalidated wholesale
   when :meth:`BoundQueryService.update` advances the map's epoch;
 * request coalescing — concurrent queries for the same canonical
-  itemset share one evaluation;
+  itemset share one evaluation, one future per evaluated batch;
 * back-pressure — a bounded pending set; requests that would exceed it
   are shed with :class:`~repro.serve.errors.Overloaded`;
 * per-request timeouts (:class:`~repro.serve.errors.QueryTimeout`) that
@@ -16,16 +16,16 @@ with:
 * batch evaluation through ``OSSM.upper_bounds``, one call per
   itemset cardinality, retried once on failure.
 
-Evaluation runs in a thread (``asyncio.to_thread``) so the event loop
-stays responsive while numpy does the arithmetic. A batch stays in
-this process: Equation (1) is a min-sum over the map's columns per
-itemset, far cheaper than shipping the batch to worker processes
-(EXPERIMENTS.md, "Serve pool").
+Evaluation runs on the event loop: a batch of at most ``max_pending``
+itemsets costs about what a thread hop did (EXPERIMENTS.md, "Batch
+futures and inline evaluation"), and far less than shipping it to
+worker processes would (EXPERIMENTS.md, "Serve pool").
 """
 
 from __future__ import annotations
 
 import asyncio
+import operator
 import time
 from collections.abc import Iterable, Sequence
 from typing import Any
@@ -44,6 +44,9 @@ __all__ = ["BoundQueryService", "EpochBounds", "canonical_itemset"]
 logger = get_logger(__name__)
 
 Itemset = tuple[int, ...]
+#: An in-flight key's place: the future of the batch evaluating it and
+#: the key's position in that batch's bound list.
+Slot = tuple["asyncio.Future[list[int]]", int]
 
 _UNSET = object()
 
@@ -65,18 +68,37 @@ class EpochBounds(list[int]):
         self.epoch = epoch
 
 
-def canonical_itemset(itemset: Iterable[int]) -> Itemset:
+def canonical_itemset(
+    itemset: Iterable[int], n_items: int | None = None
+) -> Itemset:
     """Sorted duplicate-free tuple — the cache/coalescing key.
 
     Equation (1) is a min over the itemset's columns, so item order and
     repetition cannot change the bound; canonicalizing lets ``(2, 1)``,
     ``(1, 2, 2)`` and ``(1, 2)`` share one cache entry and one
-    in-flight evaluation.
+    in-flight evaluation. Items must be integers in ``range(n_items)``
+    (numpy integers pass); a bool or float raises ``ValueError``.
     """
-    items = sorted({int(item) for item in itemset})
+    items = sorted({
+        item if type(item) is int else _item_id(item) for item in itemset
+    })
     if items and items[0] < 0:
-        raise ValueError("item ids must be >= 0")
+        raise ValueError(f"item {items[0]} out of range: ids must be >= 0")
+    if items and n_items is not None and items[-1] >= n_items:
+        raise ValueError(
+            f"item {items[-1]} out of range for a map over {n_items} items"
+        )
     return tuple(items)
+
+
+def _item_id(item: Any) -> int:
+    """*item* as an item id, for anything but a plain ``int``."""
+    try:
+        if not isinstance(item, bool):
+            return operator.index(item)
+    except TypeError:
+        pass
+    raise ValueError(f"non-integer item {item!r}")
 
 
 class BoundQueryService:
@@ -127,7 +149,7 @@ class BoundQueryService:
         self._cache = EpochLRUCache(cache_size, epoch=ossm.epoch)
         self.max_pending = int(max_pending)
         self.timeout = timeout
-        self._inflight: dict[Itemset, asyncio.Future[int]] = {}
+        self._inflight: dict[Itemset, Slot] = {}
         self._pending = 0
         self._tasks: set[asyncio.Task[None]] = set()
         self._closed = False
@@ -214,8 +236,8 @@ class BoundQueryService:
         if not advanced:
             self._cache.clear()
         self._ossm = ossm
-        # New queries must not coalesce onto old-map evaluations; the
-        # running batch keeps its own reference to the superseded dict.
+        # New queries must not coalesce onto old-map evaluations; a
+        # running batch unregisters only the keys still pointing at it.
         self._inflight = {}
         metrics = get_registry()
         if metrics.enabled:
@@ -290,41 +312,44 @@ class BoundQueryService:
         inflight = self._inflight
         cache = self._cache
         # Every key is validated before any future is registered: a
-        # rejected item must not strand the futures of the keys before
-        # it, onto which later queries would coalesce and hang.
-        keys = [canonical_itemset(raw) for raw in itemsets]
-        for key in keys:
-            if key and key[-1] >= ossm.n_items:
-                raise ValueError(
-                    f"item {key[-1]} out of range for a map over "
-                    f"{ossm.n_items} items"
-                )
-        results: dict[int, int] = {}
-        waiting: dict[int, asyncio.Future[int]] = {}
+        # rejected item must not strand the keys before it, onto which
+        # later queries would coalesce and hang.
+        n_items = ossm.n_items
+        keys = [canonical_itemset(raw, n_items) for raw in itemsets]
+        results = [0] * len(keys)
+        waiting: list[tuple[int, asyncio.Future[list[int]], int]] = []
+        batch: asyncio.Future[list[int]] | None = None
+        awaited: dict[asyncio.Future[list[int]], None] = {}
         fresh: list[Itemset] = []
+        coalesced = 0
         for index, key in enumerate(keys):
             cached = cache.get(key)
             if cached is not None:
                 results[index] = cached
                 continue
-            future = inflight.get(key)
-            if future is None:
-                future = asyncio.get_running_loop().create_future()
-                inflight[key] = future
+            slot = inflight.get(key)
+            if slot is None:
+                if batch is None:
+                    batch = asyncio.get_running_loop().create_future()
+                slot = inflight[key] = (batch, len(fresh))
                 fresh.append(key)
-            waiting[index] = future
+            elif slot[0] is not batch:
+                # Another call's batch is evaluating this key.
+                awaited[slot[0]] = None
+                coalesced += 1
+            waiting.append((index, *slot))
 
         metrics = get_registry()
         if metrics.enabled:
             metrics.inc("serve.requests")
             metrics.inc("serve.queries", len(itemsets))
-        if fresh:
+        if batch is not None:
             if self._pending + len(fresh) > self.max_pending:
-                # The fresh futures were registered without an await in
+                # The fresh keys were registered without an await in
                 # between, so no other task can have coalesced onto
                 # them yet; unregistering is race-free.
                 for key in fresh:
-                    inflight.pop(key, None)
+                    del inflight[key]
                 if metrics.enabled:
                     metrics.inc("serve.shed")
                 raise Overloaded(
@@ -333,53 +358,46 @@ class BoundQueryService:
             self._pending += len(fresh)
             if metrics.enabled:
                 metrics.set_gauge("serve.queue_depth", self._pending)
-            task = asyncio.create_task(
-                self._run_batch(ossm, inflight, fresh)
-            )
+            task = asyncio.create_task(self._run_batch(ossm, fresh, batch))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
+            awaited[batch] = None
 
-        if waiting:
-            gathered = asyncio.gather(
-                *waiting.values(), return_exceptions=False
-            )
+        if awaited:
+            if metrics.enabled:
+                metrics.inc("serve.coalesced", coalesced)
+            futures = list(awaited)
             try:
-                if wait_for is None:
-                    values = await gathered
-                else:
-                    # shield: a timed-out waiter must not cancel the
-                    # evaluation that coalesced waiters still need.
-                    values = await asyncio.wait_for(
-                        asyncio.shield(gathered), wait_for
-                    )
+                # shield: a timed-out waiter must not cancel the
+                # evaluation that coalesced waiters still need.
+                answers = await asyncio.wait_for(
+                    asyncio.shield(asyncio.gather(*futures)), wait_for
+                )
             except asyncio.TimeoutError:
                 if metrics.enabled:
                     metrics.inc("serve.timeouts")
                 raise QueryTimeout(float(wait_for)) from None
-            for index, value in zip(waiting, values):
-                results[index] = value
+            by_future = dict(zip(futures, answers))
+            for index, future, position in waiting:
+                results[index] = by_future[future][position]
         if metrics.enabled:
             self._flush_cache_metrics(metrics)
-        return EpochBounds(
-            (results[index] for index in range(len(itemsets))), ossm.epoch
-        )
+        return EpochBounds(results, ossm.epoch)
 
     async def _run_batch(
         self,
         ossm: OSSM,
-        inflight: dict[Itemset, asyncio.Future[int]],
         keys: list[Itemset],
+        batch: asyncio.Future[list[int]],
     ) -> None:
-        """Evaluate *keys* against *ossm* and deliver to the futures."""
+        """Evaluate *keys* against *ossm*; resolve *batch* with bounds."""
         metrics = get_registry()
         try:
             with trace(
                 "serve.batch", size=len(keys), epoch=ossm.epoch
             ), metrics.time("serve.batch_seconds"):
                 try:
-                    bounds = await asyncio.to_thread(
-                        self._evaluate, ossm, keys
-                    )
+                    bounds = await self._evaluate(ossm, keys)
                 except Exception as exc:
                     # One retry absorbs a transient evaluation failure
                     # (e.g. an injected serve.eval_error) without
@@ -390,48 +408,49 @@ class BoundQueryService:
                     logger.warning(
                         "batch evaluation failed, retrying once: %r", exc
                     )
-                    bounds = await asyncio.to_thread(
-                        self._evaluate, ossm, keys
-                    )
+                    bounds = await self._evaluate(ossm, keys)
         except BaseException as exc:
-            # Deliver the failure through the futures; re-raising here
+            # Deliver the failure through the future; re-raising here
             # would only produce an unretrieved-task warning since no
             # one awaits the batch task itself.
             logger.error("batch evaluation failed: %r", exc)
-            for key in keys:
-                future = inflight.pop(key, None)
-                if future is not None and not future.done():
-                    future.set_exception(exc)
+            if not batch.done():
+                batch.set_exception(exc)
         else:
             cache = self._cache
             for key, bound in zip(keys, bounds):
                 cache.put(key, bound, ossm.epoch)
-                future = inflight.pop(key, None)
-                if future is not None and not future.done():
-                    future.set_result(bound)
+            if not batch.done():
+                batch.set_result(bounds)
         finally:
+            # update() may have swapped the dict since: a key now
+            # registered to a newer batch is not ours to remove.
+            inflight = self._inflight
+            for key in keys:
+                slot = inflight.get(key)
+                if slot is not None and slot[0] is batch:
+                    del inflight[key]
             self._pending -= len(keys)
             if metrics.enabled:
                 metrics.set_gauge("serve.queue_depth", self._pending)
 
-    # -- evaluation (worker thread) --------------------------------------
+    # -- evaluation ------------------------------------------------------
 
-    def _evaluate(self, ossm: OSSM, keys: list[Itemset]) -> list[int]:
+    async def _evaluate(self, ossm: OSSM, keys: list[Itemset]) -> list[int]:
         """Bounds for *keys* (mixed cardinality), grouped per level."""
         injector = get_injector()
         if injector.enabled:
             injector.maybe_raise("serve.eval_error")
-            injector.maybe_sleep("serve.latency")
-        out = [0] * len(keys)
-        by_size: dict[int, list[int]] = {}
-        for position, key in enumerate(keys):
-            by_size.setdefault(len(key), []).append(position)
-        for size in sorted(by_size):
-            positions = by_size[size]
-            values = ossm.upper_bounds([keys[p] for p in positions])
-            for position, value in zip(positions, values):
-                out[position] = int(value)
-        return out
+            rule = injector.fire("serve.latency")
+            if rule is not None:
+                await asyncio.sleep(rule.delay)
+        by_size: dict[int, list[Itemset]] = {}
+        for key in keys:
+            by_size.setdefault(len(key), []).append(key)
+        bound_of: dict[Itemset, int] = {}
+        for group in by_size.values():
+            bound_of.update(zip(group, ossm.upper_bounds(group).tolist()))
+        return [bound_of[key] for key in keys]
 
     # -- metrics ---------------------------------------------------------
 

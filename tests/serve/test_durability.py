@@ -14,6 +14,7 @@ The load-bearing properties:
 
 import asyncio
 import json
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ def small_map(bump: int = 0, epoch: int = 0) -> OSSM:
 
 
 @pytest.fixture
-def store(tmp_path) -> TenantStore:
-    return TenantStore(tmp_path / "state")
+def store(tmp_path) -> Iterator[TenantStore]:
+    with TenantStore(tmp_path / "state") as store:
+        yield store
 
 
 class TestWALFraming:

@@ -13,9 +13,8 @@ The load-bearing properties, in rough order of importance:
 """
 
 import asyncio
-import threading
-import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +23,7 @@ from repro.core import GreedySegmenter, extend_ossm
 from repro.data import PagedDatabase, generate_quest
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import TraceRecorder, use_recorder
+from repro.resilience import FaultPlan, FaultRule, use_faults
 from repro.serve import (
     BoundQueryService,
     Overloaded,
@@ -114,7 +114,9 @@ class TestExactness:
 
         run(main())
 
-    @pytest.mark.parametrize("bad", [(N_ITEMS,), (-1,)])
+    @pytest.mark.parametrize(
+        "bad", [(N_ITEMS,), (-1,), (1.5, 2), (True, 3)]
+    )
     def test_rejected_batch_strands_no_inflight_key(self, ossm, bad):
         """A bad item late in a batch must not leave the earlier keys
         registered in flight: a later query would coalesce onto a
@@ -134,8 +136,15 @@ class TestExactness:
 def test_canonical_itemset():
     assert canonical_itemset((3, 1, 3)) == (1, 3)
     assert canonical_itemset(()) == ()
+    assert canonical_itemset(np.array([4, 2], dtype=np.int64)) == (2, 4)
+    assert canonical_itemset([np.int32(5), 1]) == (1, 5)
     with pytest.raises(ValueError):
         canonical_itemset((-2,))
+    # Never truncated or coerced into another item id.
+    for bad in ([1.5, 2], [True, 3], [np.float64(2.0)], ["3"],
+                [np.bool_(True)]):
+        with pytest.raises(ValueError, match="non-integer"):
+            canonical_itemset(bad)
 
 
 # -- coalescing ----------------------------------------------------------
@@ -147,12 +156,14 @@ class TestCoalescing:
         calls = []
         inner = service._evaluate
 
-        def slow_evaluate(current, keys):
+        async def counted_evaluate(current, keys):
             calls.append(list(keys))
-            time.sleep(0.02)
-            return inner(current, keys)
+            return await inner(current, keys)
 
-        service._evaluate = slow_evaluate
+        service._evaluate = counted_evaluate
+        # The injected latency holds the batch open on the loop while
+        # the other seven queries arrive.
+        plan = FaultPlan([FaultRule("serve.latency", times=1, delay=0.02)])
 
         async def main():
             async with service:
@@ -161,9 +172,128 @@ class TestCoalescing:
                 )
             assert set(bounds) == {ossm.upper_bound((4, 9))}
 
-        run(main())
+        with use_faults(plan):
+            run(main())
         evaluated = [key for batch in calls for key in batch]
         assert evaluated == [(4, 9)]
+
+    def test_split_call_aligns_own_and_joined_batches(self, ossm):
+        """A call whose keys are partly in another call's in-flight
+        batch and partly fresh waits on both batches and reads every
+        bound at its own position."""
+        first = [(1, 2), (3, 4), (5,)]
+        second = [(7, 8), (3, 4), (9,), (1, 2), (7, 8)]
+        plan = FaultPlan([FaultRule("serve.latency", times=1, delay=0.05)])
+        registry = MetricsRegistry()
+
+        async def main():
+            async with BoundQueryService(ossm) as service:
+                held = asyncio.create_task(service.query_batch(first))
+                while service.pending == 0:  # first batch in flight
+                    await asyncio.sleep(0.001)
+                bounds = await service.query_batch(second)
+                assert await held == [ossm.upper_bound(s) for s in first]
+                return bounds
+
+        with use_faults(plan), use_registry(registry):
+            bounds = run(main())
+        assert bounds == [ossm.upper_bound(s) for s in second]
+        assert registry.counter("serve.coalesced").snapshot() == 2
+
+    def test_failed_joined_batch_fails_dependents_and_frees_keys(self, ossm):
+        """When the batch a call coalesced onto fails, the dependent
+        call fails with it, and none of the keys stays registered in
+        flight for a later query to hang on."""
+        service = BoundQueryService(ossm)
+        inner = service._evaluate
+
+        async def main():
+            release = asyncio.Event()
+
+            async def held_then_failing(current, keys):
+                if (1, 2) in keys:
+                    await release.wait()
+                    raise RuntimeError("evaluation failed")
+                return await inner(current, keys)
+
+            service._evaluate = held_then_failing
+            async with service:
+                try:
+                    held = asyncio.create_task(service.query_batch([(1, 2)]))
+                    while service.pending == 0:
+                        await asyncio.sleep(0.001)
+                    dependent = asyncio.create_task(
+                        service.query_batch([(1, 2), (3,)])
+                    )
+                    # (3,) is the dependent call's own batch: it evaluates
+                    # and is cached while (1, 2) is still held.
+                    while service.stats()["cache_entries"] == 0:
+                        await asyncio.sleep(0.001)
+                    release.set()
+                    with pytest.raises(RuntimeError):
+                        await dependent
+                    with pytest.raises(RuntimeError):
+                        await held
+                    assert service.pending == 0
+                    assert service._inflight == {}
+                    assert service.stats()["cache_entries"] == 1
+                    service._evaluate = inner
+                    bounds = await asyncio.wait_for(
+                        service.query_batch([(1, 2), (3,)]), 5.0
+                    )
+                    assert bounds == [
+                        ossm.upper_bound((1, 2)), ossm.upper_bound((3,))
+                    ]
+                finally:
+                    release.set()
+
+        run(asyncio.wait_for(main(), 10))
+
+    def test_update_mid_batch_keeps_new_inflight_entry(self, ossm):
+        """An old-map batch that finishes after update() must not
+        unregister the new map's in-flight entry for the same key."""
+        coarser = ossm.merge_segments([[0, 1], [2, 3], [4, 5]])
+        service = BoundQueryService(ossm)
+        inner = service._evaluate
+        releases = []
+
+        async def gated(current, keys):
+            release = asyncio.Event()
+            releases.append(release)
+            await release.wait()
+            return await inner(current, keys)
+
+        service._evaluate = gated
+
+        async def main():
+            async with service:
+                try:
+                    old = asyncio.create_task(service.query((2, 3)))
+                    while len(releases) < 1:
+                        await asyncio.sleep(0.001)
+                    service.update(coarser)
+                    new = asyncio.create_task(service.query((2, 3)))
+                    while len(releases) < 2:
+                        await asyncio.sleep(0.001)
+                    releases[0].set()
+                    assert await old == ossm.upper_bound((2, 3))
+                    # The old batch is done; the new one still holds the key,
+                    # so a late query coalesces onto it.
+                    registered = (2, 3) in service._inflight
+                    joined = asyncio.create_task(service.query((2, 3)))
+                    await asyncio.sleep(0.01)
+                    for release in releases:
+                        release.set()
+                    assert await new == coarser.upper_bound((2, 3))
+                    assert await joined == coarser.upper_bound((2, 3))
+                    assert service._inflight == {}
+                finally:
+                    for release in releases:
+                        release.set()
+            assert registered
+            assert len(releases) == 2
+
+        run(asyncio.wait_for(main(), 10))
 
 
 # -- back-pressure and timeouts ------------------------------------------
@@ -172,12 +302,12 @@ class TestCoalescing:
 class TestBackpressure:
     def test_overload_sheds_with_typed_error(self, ossm):
         service = BoundQueryService(ossm, max_pending=2)
-        release = threading.Event()
+        release = asyncio.Event()
         inner = service._evaluate
 
-        def blocked_evaluate(current, keys):
-            release.wait()
-            return inner(current, keys)
+        async def blocked_evaluate(current, keys):
+            await release.wait()
+            return await inner(current, keys)
 
         service._evaluate = blocked_evaluate
 
@@ -204,13 +334,7 @@ class TestBackpressure:
 
     def test_timeout_raises_but_evaluation_completes(self, ossm):
         service = BoundQueryService(ossm, timeout=0.05)
-        inner = service._evaluate
-
-        def slow_evaluate(current, keys):
-            time.sleep(0.25)
-            return inner(current, keys)
-
-        service._evaluate = slow_evaluate
+        plan = FaultPlan([FaultRule("serve.latency", times=1, delay=0.25)])
 
         async def main():
             async with service:
@@ -224,7 +348,8 @@ class TestBackpressure:
                     ossm.upper_bound((6, 7))
                 assert service.stats()["cache"]["hits"] == 1
 
-        run(main())
+        with use_faults(plan):
+            run(main())
 
     def test_per_call_timeout_overrides_default(self, ossm):
         async def main():
