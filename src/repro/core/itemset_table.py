@@ -84,8 +84,9 @@ class ItemsetTable(Sequence[Itemset]):
 
     @classmethod
     def pairs_of(cls, basis: np.ndarray) -> ItemsetTable:
-        """Pairs ``i < j`` of *basis* in ``pdist``'s condensed order: level 2
-        over a sorted L1. Slicing and :meth:`compress` drop the basis."""
+        """Pairs ``i < j`` of *basis* in condensed order (row ``i`` against
+        every later row): level 2 over a sorted L1. Slicing and
+        :meth:`compress` drop the basis."""
         basis = np.array(basis, dtype=np.int64)
         basis.setflags(write=False)
         rows, columns = np.broadcast_arrays(basis[:, None], basis)

@@ -46,9 +46,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from numpy.typing import DTypeLike
 
-from .ossm import check_supports
+from .ossm import check_supports, sort_dtype
 
 __all__ = [
     "pair_bound_sum",
@@ -95,15 +94,6 @@ def pair_bound_sum(
     ascending = np.sort(u)
     weights = np.arange(m - 1, -1, -1, dtype=np.int64)
     return int(np.dot(ascending, weights))
-
-
-def sort_dtype(high: int) -> DTypeLike:
-    """Narrowest dtype that holds non-negative values up to *high*."""
-    if high <= np.iinfo(np.uint16).max:
-        return np.uint16
-    if high <= np.iinfo(np.uint32).max:
-        return np.uint32
-    return np.int64
 
 
 def pair_bound_sums(rows: np.ndarray, high: int | None = None) -> np.ndarray:

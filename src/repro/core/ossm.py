@@ -22,23 +22,37 @@ import os
 from collections.abc import Iterable, Sequence
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from ..data.pages import PagedDatabase
 from ..data.transactions import TransactionDatabase
 from ..resilience import CorruptArtifact, atomic_savez, verified_load_npz
 from .itemset_table import ItemsetTable, as_array, select
 
-__all__ = ["OSSM", "build_from_pages", "build_from_database", "check_supports"]
+__all__ = [
+    "OSSM", "build_from_pages", "build_from_database", "check_supports",
+    "sort_dtype",
+]
 
 #: Cell width (bytes) used for the paper's storage accounting. The
 #: paper's sizes (0.2 MB at 100 segments x 1000 items) correspond to
 #: 2-byte cells.
 NOMINAL_CELL_BYTES = 2
 
-#: Cells (candidates x segments) gathered per block of the gathered
-#: bound reduction: 512 KB keeps the running minimum in cache, which
-#: measured 3x faster than 8 MB blocks on a 40k-candidate level.
-_BOUND_BLOCK_CELLS = 1 << 16
+#: Bytes of running minimum (candidates x segments x cell width) per
+#: block of the gathered bound reduction, so a block stays in cache.
+#: With uint16 cells, 256 KB beat 128 KB and 512 KB at ``alarms-deep``
+#: levels 3-4 (EXPERIMENTS.md "Integer bound kernels").
+_BOUND_BLOCK_BYTES = 256 << 10
+
+
+def sort_dtype(high: int) -> DTypeLike:
+    """Narrowest dtype that holds non-negative values up to *high*."""
+    if high <= np.iinfo(np.uint16).max:
+        return np.uint16
+    if high <= np.iinfo(np.uint32).max:
+        return np.uint32
+    return np.int64
 
 
 def check_supports(matrix: np.ndarray) -> None:
@@ -54,6 +68,11 @@ class OSSM:
     """Segment support map: ``n_segments × n_items`` singleton supports.
 
     Instances are immutable; all mutating operations return new maps.
+    The map is stored once, item-major, in the narrowest unsigned dtype
+    that holds its largest item total (:func:`sort_dtype`). An Equation
+    (1) bound is a sum of per-segment minima, so it never exceeds one
+    item's total: every min and every running sum is exact in that
+    dtype. Public results (``matrix``, supports, bounds) are int64.
 
     Parameters
     ----------
@@ -86,13 +105,15 @@ class OSSM:
         if matrix.ndim != 2:
             raise ValueError("segment_supports must be a 2-D matrix")
         check_supports(matrix)
-        self._matrix = matrix.astype(np.int64, copy=True)
-        self._matrix.setflags(write=False)
-        # Item-major copy of the matrix for gathered bounds, built lazily.
-        self._by_item: np.ndarray | None = None
+        exact = matrix.astype(np.int64, copy=False)
+        totals = exact.sum(axis=0)
+        dtype = sort_dtype(int(totals.max()) if totals.size else 0)
+        # Item-major rows are contiguous per item: a gather reads whole rows.
+        self._by_item = exact.T.astype(dtype, order="C")
+        self._by_item.setflags(write=False)
         if segment_sizes is not None:
             sizes = tuple(int(s) for s in segment_sizes)
-            if len(sizes) != self._matrix.shape[0]:
+            if len(sizes) != exact.shape[0]:
                 raise ValueError("segment_sizes length must equal n_segments")
             self._sizes: tuple[int, ...] | None = sizes
         else:
@@ -129,17 +150,20 @@ class OSSM:
     @property
     def n_segments(self) -> int:
         """Number of segments (``n`` in the paper)."""
-        return self._matrix.shape[0]
+        return self._by_item.shape[1]
 
     @property
     def n_items(self) -> int:
         """Size of the item domain (``m`` in the paper)."""
-        return self._matrix.shape[1]
+        return self._by_item.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
-        """The (read-only) ``n × m`` segment-support matrix."""
-        return self._matrix
+        """The ``n × m`` segment-support matrix: a read-only int64 copy
+        of the stored map, built on each access."""
+        matrix = self._by_item.T.astype(np.int64, order="C")
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def segment_sizes(self) -> tuple[int, ...] | None:
@@ -158,15 +182,15 @@ class OSSM:
         if not isinstance(other, OSSM):
             return NotImplemented
         return (
-            self._matrix.shape == other._matrix.shape
-            and bool(np.array_equal(self._matrix, other._matrix))
+            self._by_item.shape == other._by_item.shape
+            and bool(np.array_equal(self._by_item, other._by_item))
         )
 
     # -- storage accounting --------------------------------------------------
 
     def nbytes(self) -> int:
-        """Actual in-memory size of the support matrix."""
-        return int(self._matrix.nbytes)
+        """Actual in-memory size of the stored (narrow) support map."""
+        return int(self._by_item.nbytes)
 
     def nominal_size_bytes(self, cell_bytes: int = NOMINAL_CELL_BYTES) -> int:
         """Size under the paper's accounting (2-byte cells by default).
@@ -180,7 +204,7 @@ class OSSM:
 
     def item_supports(self) -> np.ndarray:
         """Global singleton supports (exact; column sums)."""
-        return self._matrix.sum(axis=0)
+        return self._by_item.sum(axis=1, dtype=np.int64)
 
     def upper_bound(self, itemset: Iterable[int]) -> int:
         """Equation (1) upper bound on the support of *itemset*.
@@ -194,9 +218,11 @@ class OSSM:
         if not items:
             if self._sizes is not None:
                 return int(sum(self._sizes))
-            return int(self._matrix.max(axis=1).sum()) if self.n_items else 0
-        columns = self._matrix[:, as_array((items,), self.n_items)[0]]
-        return int(columns.min(axis=1).sum())
+            if not self.n_items:
+                return 0
+            return int(self._by_item.max(axis=0).sum(dtype=np.int64))
+        rows = self._by_item[as_array((items,), self.n_items)[0]]
+        return int(rows.min(axis=0).sum(dtype=rows.dtype))
 
     def upper_bounds(
         self, itemsets: Sequence[Sequence[int]] | np.ndarray
@@ -214,39 +240,35 @@ class OSSM:
         n, k = candidates.shape
         if not k:
             return np.full(n, self.upper_bound(()), dtype=np.int64)
-        # Item-major rows are contiguous per item, so each gather reads
-        # whole rows; the min runs in place over one block at a time.
+        # The min runs in place over one block at a time, and reads and
+        # sums in the stored dtype.
         by_item = self._by_item
-        if by_item is None:
-            by_item = self._by_item = np.ascontiguousarray(self._matrix.T)
-        block = max(1, _BOUND_BLOCK_CELLS // max(1, self.n_segments))
-        bounds = np.empty(n, dtype=np.int64)
+        row_bytes = max(1, self.n_segments * by_item.itemsize)
+        block = max(1, _BOUND_BLOCK_BYTES // row_bytes)
+        bounds = np.empty(n, dtype=by_item.dtype)
         for lo in range(0, n, block):
             rows = candidates[lo:lo + block]
             acc = by_item[rows[:, 0]]
             for j in range(1, k):
                 np.minimum(acc, by_item[rows[:, j]], out=acc)
-            acc.sum(axis=1, out=bounds[lo:lo + len(rows)])
-        return bounds
+            acc.sum(axis=1, dtype=by_item.dtype, out=bounds[lo:lo + len(rows)])
+        return bounds.astype(np.int64)
 
     def _triangle_bounds(self, basis: np.ndarray) -> np.ndarray:
-        """Bounds of ``ItemsetTable.pairs_of(basis)``: per segment
-        ``min(p, q) = (p + q − |p − q|)/2``, and one condensed ``pdist``
-        gives every pair's ``Σ|p − q|`` in the table's row order."""
-        # ~0.4 s to import, and serving never needs it: loaded here only.
-        from scipy.spatial.distance import pdist
-
+        """Bounds of ``ItemsetTable.pairs_of(basis)``: row ``i`` of the
+        basis against every later row, in the table's condensed order."""
         as_array(basis[:, None], self.n_items)  # the item-domain check
-        columns = self._matrix[:, basis].T
-        # pdist sums in doubles, exact for counts < 2**53: the round trip
-        # back to int64 loses nothing.
-        doubles = columns.astype(np.float64)  # lint: skip=bound-float-cast
-        distances = pdist(doubles, metric="cityblock").astype(np.int64)
-        supports = columns.sum(axis=1)
-        upper = ~np.tri(len(basis), dtype=bool)
-        # p + q − |p − q| is even, so // 2 divides exactly: the whole
-        # bound stays in integer arithmetic (Equation (1) soundness).
-        return (np.add.outer(supports, supports)[upper] - distances) // 2
+        columns = self._by_item[basis]
+        size = len(basis)
+        bounds = np.empty(size * (size - 1) // 2, dtype=columns.dtype)
+        start = 0
+        for i in range(size - 1):
+            stop = start + size - 1 - i
+            np.minimum(columns[i], columns[i + 1:]).sum(
+                axis=1, dtype=columns.dtype, out=bounds[start:stop]
+            )
+            start = stop
+        return bounds.astype(np.int64)
 
     def prune(
         self, itemsets: Sequence[tuple[int, ...]], min_support: int
@@ -273,8 +295,9 @@ class OSSM:
         seen = sorted(i for group in groups for i in group)
         if seen != list(range(self.n_segments)):
             raise ValueError("groups must partition range(n_segments)")
+        by_item = self._by_item
         rows = np.vstack(
-            [self._matrix[list(group)].sum(axis=0) for group in groups]
+            [by_item[:, list(g)].sum(axis=1, dtype=np.int64) for g in groups]
         )
         sizes = None
         if self._sizes is not None:
@@ -286,7 +309,7 @@ class OSSM:
     def restrict_items(self, items: Sequence[int]) -> "OSSM":
         """Project the map onto a subset of item columns (bubble list)."""
         return OSSM(
-            self._matrix[:, list(items)],
+            self._by_item[list(items)].T,
             segment_sizes=self._sizes,
             epoch=self._epoch,
         )
@@ -299,9 +322,12 @@ class OSSM:
         Written atomically (temp + fsync + rename) with an embedded
         format version and CRC32, so :meth:`load` can tell a damaged
         file from a valid one and a crash mid-save can never leave a
-        torn archive at *path*.
+        torn archive at *path*. The ``n × m`` matrix is written in the
+        stored (narrow) dtype.
         """
-        payload: dict[str, np.ndarray] = {"matrix": self._matrix}
+        payload: dict[str, np.ndarray] = {
+            "matrix": np.ascontiguousarray(self._by_item.T)
+        }
         if self._sizes is not None:
             payload["sizes"] = np.asarray(self._sizes, dtype=np.int64)
         if self._epoch:
@@ -316,7 +342,7 @@ class OSSM:
         damaged bytes and
         :class:`~repro.resilience.errors.IntegrityError` on a wrong
         artifact kind or future format version; archives written before
-        the integrity format still load.
+        the integrity format, and int64 matrices, still load.
         """
         payload = verified_load_npz(path, kind="ossm")
         if "matrix" not in payload:

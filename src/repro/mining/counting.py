@@ -430,9 +430,5 @@ def make_pool(workers: int | None, n_tasks: int) -> SupervisedPool | None:
 
         resolved = min(resolve_workers(workers), n_tasks)
         if resolved > 1:
-            # Loaded once here, before the fork, so no worker imports
-            # scipy itself at its first level-2 triangle bound.
-            import scipy.spatial.distance  # noqa: F401
-
             return SupervisedPool(resolved, name="parallel.chunks")
     return None

@@ -8,7 +8,7 @@ rule and the runtime stay in agreement:
 * hash tree: ``_leaves_by_id`` is initialised eagerly (the old
   ``getattr(self, "_leaves_by_id", {})`` default silently returned no
   leaves for trees built before the attribute existed);
-* OSSM pair bounds: the pdist triangle path stays in integer arithmetic
+* OSSM pair bounds: the triangle path stays in integer arithmetic
   and agrees exactly with the generic Equation (1) evaluation;
 * chained constraint pruner: ``candidate_bounds`` delegates to the
   wrapped support pruner instead of inheriting the protocol's ``None``
@@ -71,7 +71,7 @@ class TestPairBoundIntegerPath:
         matrix = rng.integers(0, 1000, size=(8, 30)).astype(np.int64)
         ossm = OSSM(matrix)
         table = apriori_gen([(item,) for item in range(30)])
-        assert table.basis is not None  # the pdist triangle path
+        assert table.basis is not None  # the triangle path
 
         fast = ossm.upper_bounds(table)
         generic = matrix[:, table.array].min(axis=2).sum(axis=0)
@@ -80,8 +80,7 @@ class TestPairBoundIntegerPath:
         assert np.array_equal(fast, generic)
 
     def test_odd_supports_do_not_round(self):
-        # p=3, q=2 in one segment: min is 2; (3+2-1)//2 == 2 exactly,
-        # while float division then truncation could have produced 2.5.
+        # p=3, q=2 in one segment: the bound is the integer min, 2.
         ossm = OSSM(np.array([[3, 2]], dtype=np.int64))
         bounds = ossm.upper_bounds([(0, 1)])
         assert bounds.tolist() == [2]

@@ -217,9 +217,18 @@ class TestStorageAccounting:
         assert hundred.nominal_size_bytes() == 200_000
         assert one_fifty.nominal_size_bytes() == 300_000
 
-    def test_nbytes_reflects_actual_storage(self):
-        ossm = OSSM(np.zeros((10, 20), dtype=np.int64))
-        assert ossm.nbytes() == 10 * 20 * 8
+    @pytest.mark.parametrize(
+        "largest_total, width",
+        [(0, 2), (65_535, 2), (65_536, 4), (2**32 - 1, 4), (2**32, 8)],
+    )
+    def test_nbytes_is_the_stored_width(self, largest_total, width):
+        # Cells are stored in the narrowest width that holds the
+        # largest item total, whatever the input dtype.
+        matrix = np.zeros((10, 20), dtype=np.int64)
+        matrix[0, 3] = largest_total
+        ossm = OSSM(matrix)
+        assert ossm.nbytes() == 10 * 20 * width
+        assert ossm.matrix.dtype == np.int64
 
 
 class TestReshaping:

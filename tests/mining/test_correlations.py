@@ -11,6 +11,7 @@ from repro.mining import OSSMPruner
 from repro.mining.correlations import (
     ContingencyTable,
     CorrelationMiner,
+    chi2_sf,
     contingency_table,
     mine_correlations,
 )
@@ -95,6 +96,74 @@ class TestContingencyTable:
         assert table.p_value() == pytest.approx(
             math.erfc(math.sqrt(x / 2)), rel=1e-12
         )
+
+
+#: ``scipy.stats.chi2.sf(x, df)`` from scipy 1.17.1 (numpy 2.4.6),
+#: recorded as literals so the closed form is checked without scipy.
+#: df = 2^k − k − 1 for k = 2…5; x = 0, moderate, a deep tail, inf.
+SCIPY_CHI2_SF = [
+    (1, 0.0, 1.0),
+    (1, 3.0, 0.08326451666355042),
+    (1, 20.0, 7.744216431044088e-06),
+    (1, 750.0, 4.012375541416957e-165),
+    (1, 1500.0, 0.0),
+    (1, math.inf, 0.0),
+    (4, 0.0, 1.0),
+    (4, 3.0, 0.5578254003710748),
+    (4, 20.0, 0.0004993992273873336),
+    (4, 750.0, 5.185099935355477e-161),
+    (4, 1500.0, 0.0),
+    (4, math.inf, 0.0),
+    (11, 0.0, 1.0),
+    (11, 3.0, 0.9907258863657353),
+    (11, 20.0, 0.04534067443406042),
+    (11, 750.0, 1.021132550247984e-153),
+    (11, 1500.0, 0.0),
+    (11, math.inf, 0.0),
+    (26, 0.0, 1.0),
+    (26, 3.0, 0.9999999921967017),
+    (26, 20.0, 0.7915564763948745),
+    (26, 750.0, 2.2998147342445062e-141),
+    (26, 1500.0, 1.278003750705087e-300),
+    (26, math.inf, 0.0),
+]
+
+
+class TestChiSquaredTail:
+    @pytest.mark.parametrize("df, x, expected", SCIPY_CHI2_SF)
+    def test_matches_scipy(self, df, x, expected):
+        got = chi2_sf(x, df)
+        assert not math.isnan(got)
+        if expected == 0.0:
+            # Below the smallest normal double: 0 or a subnormal.
+            assert 0.0 <= got < 1e-300
+        else:
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 11, 26])
+    def test_is_a_decreasing_tail(self, df):
+        xs = [0.0, 1e-6, 0.5, 1.0, 5.0, 30.0, 200.0, 800.0, 2000.0, 1e5]
+        tails = [chi2_sf(x, df) for x in xs]
+        assert tails[0] == 1.0
+        assert all(0.0 <= t <= 1.0 for t in tails)
+        assert tails == sorted(tails, reverse=True)
+        assert tails[-1] == 0.0
+
+    def test_rejects_nonpositive_df(self):
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, 0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_p_value_uses_the_independence_df(self, k):
+        rng = np.random.default_rng(k)
+        txns = [
+            tuple(i for i in range(k) if rng.random() < 0.3 + 0.1 * i)
+            for _ in range(300)
+        ]
+        database = TransactionDatabase(txns, n_items=k)
+        table = contingency_table(database, tuple(range(k)))
+        df = 2**k - k - 1
+        assert table.p_value() == chi2_sf(table.chi_squared(), df)
 
 
 class TestMiner:

@@ -3,7 +3,7 @@
 The properties run under hypothesis when it is importable and fall back
 to a fixed set of seeded-random cases otherwise, so the differential
 harness keeps its coverage on minimal installs (the package itself only
-depends on numpy/scipy; hypothesis is a dev extra).
+depends on numpy; hypothesis is a dev extra).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Property-based tests for the two Equation (1) pair kernels.
 
 A level-2 ``apriori_gen`` table carries its item basis and is bounded
-by one condensed ``pdist`` over the basis columns (the triangle path);
+by a row-wise integer min-sum over the basis columns (the triangle path);
 every other pair set — slices, compressed survivors, serving batches,
 hand-written lists — goes through the blocked item-major gather. Both
 must equal the scalar ``upper_bound`` exactly, as int64, including

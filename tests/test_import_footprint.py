@@ -1,11 +1,11 @@
-"""The serving path loads no scipy.
+"""Neither mining nor serving loads scipy.
 
-scipy costs about a second of import time and most of a serving
-process's memory, and only two call sites use it: the level-2
-triangle bound (``OSSM._triangle_bounds``, via ``pdist``) and the
-correlation p-value (``ContingencyTable.p_value``, via ``chi2``). Each
-check runs in a fresh interpreter, because the test process itself has
-long since loaded scipy.
+numpy is the package's only runtime dependency: Equation (1) runs in
+integer numpy kernels, and the correlation p-value is a closed form.
+scipy would cost about a second of import time and ~30 MB of memory
+in every process that touched it. The check runs in a fresh
+interpreter, because the test process may have loaded scipy through
+some other package.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def run_fresh(script: str) -> str:
     return result.stdout
 
 
-def test_serving_loads_no_scipy_and_the_triangle_bound_does(tmp_path):
+def test_mining_p_values_and_serving_load_no_scipy(tmp_path):
     out = run_fresh(f"""
         import asyncio, sys
 
@@ -38,19 +38,45 @@ def test_serving_loads_no_scipy_and_the_triangle_bound_does(tmp_path):
 
         import repro, repro.cli
         from repro import OSSM, BoundQueryService
+        from repro.core.greedy import GreedySegmenter
         from repro.core.itemset_table import ItemsetTable
-
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        from repro.data import PagedDatabase, TransactionDatabase
+        from repro.mining.apriori import Apriori
+        from repro.mining.correlations import contingency_table
+        from repro.mining.counting import make_counter
+        from repro.mining.pruning import OSSMPruner
 
         rng = np.random.default_rng(0)
+        database = TransactionDatabase(
+            [tuple(np.flatnonzero(rng.random(12) < 0.4)) for _ in range(300)],
+            n_items=12,
+        )
+        pages = PagedDatabase(database, page_size=20)
+        ossm = GreedySegmenter().segment(pages, 4).ossm
+
+        # A +OSSM mining run: level 2 takes the triangle bound, level 3
+        # the blocked gather.
+        result = Apriori(
+            pruner=OSSMPruner(ossm), counter=make_counter("bitmap"),
+            max_level=3,
+        ).mine(database, 30)
+        assert len(result.levels) >= 3, result.levels
+        basis = np.array([0, 2, 3, 7, 11])
+        table = ItemsetTable.pairs_of(basis)
+        assert np.array_equal(
+            ossm.upper_bounds(table), ossm.upper_bounds(table.array)
+        )
+
+        p_value = contingency_table(database, (0, 1, 2)).p_value()
+        assert 0.0 <= p_value <= 1.0, p_value
+
         path = {str(tmp_path / "map.npz")!r}
-        OSSM(rng.integers(0, 50, size=(6, 12))).save(path)
-        ossm = OSSM.load(path)
+        ossm.save(path)
+        served = OSSM.load(path)
         queries = [(0, 1), (2, 5, 7), (3,), (4, 11)]
 
         async def answer():
-            service = BoundQueryService(ossm)
+            service = BoundQueryService(served)
             try:
                 return await service.query_batch(queries)
             finally:
@@ -58,36 +84,9 @@ def test_serving_loads_no_scipy_and_the_triangle_bound_does(tmp_path):
 
         bounds = asyncio.run(answer())
         assert bounds == [ossm.upper_bound(q) for q in queries], bounds
-        assert scipy_modules() == [], scipy_modules()
 
-        basis = np.array([0, 2, 3, 7, 11])
-        table = ItemsetTable.pairs_of(basis)
-        triangle = ossm.upper_bounds(table)
-        gathered = ossm.upper_bounds(table.array)
-        assert np.array_equal(triangle, gathered), (triangle, gathered)
-        assert "scipy.spatial.distance" in sys.modules
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert scipy == [], scipy
         print("OK")
     """)
     assert "OK" in out
-
-
-def test_pool_workers_start_with_scipy_loaded():
-    out = run_fresh("""
-        import sys
-
-        from repro.mining.counting import make_pool
-
-        def probe(_):
-            return "scipy.spatial.distance" in sys.modules
-
-        assert "scipy.spatial.distance" not in sys.modules
-        pool = make_pool(2, 4)
-        try:
-            loaded = pool.run(probe, range(4))
-        finally:
-            pool.close()
-        assert loaded == [True] * 4, loaded
-        print("OK")
-    """)
-    assert "OK" in out
-
