@@ -1,40 +1,47 @@
-"""Telemetry export walkthrough: metrics, the ops endpoint, and SLOs.
+"""Telemetry export walkthrough: metrics, health and SLOs off the gateway.
 
 Run:  python examples/ops_endpoint.py
 
 Demonstrates the export plane (DESIGN.md §12) end to end:
 
 1. mine with a metrics registry active so there is telemetry to export;
-2. stand up a :class:`~repro.serve.BoundQueryService` with a latency
-   SLO and an :class:`~repro.obs.OpsServer` beside it, then scrape
-   ``/metrics`` (Prometheus text), ``/health``, and ``/stats`` over
-   plain HTTP — the same endpoints
-   ``repro-ossm serve --ossm map.npz --ops-port 9100`` exposes;
-3. read the rolling p50/p95/p99 latency and the error budget out of
-   ``service.stats()``.
+2. serve the map as the one tenant of a
+   :class:`~repro.serve.TenantRegistry` with a latency SLO, behind a
+   :class:`~repro.serve.Gateway`, and query it over HTTP;
+3. scrape ``/metrics`` (Prometheus text), ``/health`` and ``/stats``
+   over plain HTTP — the same routes
+   ``repro-ossm serve --ossm map.npz --listen :9100`` exposes;
+4. read the tenant's rolling p50/p95/p99 latency and error budget out
+   of the scraped ``/stats``.
 
-The endpoint binds port 0 here (any free port) so the example never
+The gateway binds port 0 here (any free port) so the example never
 collides with a real deployment.
 """
 
 import asyncio
+import json
 
 from repro import (
     Apriori,
+    Gateway,
     MetricsRegistry,
-    OpsServer,
     OSSMPruner,
     Session,
+    TenantRegistry,
     use_registry,
 )
 
 
-async def http_get(host: str, port: int, path: str) -> str:
-    """One minimal HTTP/1.1 GET — what a Prometheus scrape boils down to."""
+async def http(
+    host: str, port: int, method: str, path: str, body: bytes = b""
+) -> str:
+    """One minimal HTTP/1.1 request — what a Prometheus scrape boils
+    down to. Returns the response body."""
     reader, writer = await asyncio.open_connection(host, port)
     writer.write(
-        f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
-        "Connection: close\r\n\r\n".encode("latin-1")
+        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n".encode("latin-1") + body
     )
     await writer.drain()
     raw = await reader.read()
@@ -63,14 +70,19 @@ async def main() -> None:
         )
         print(f"mined {len(result.frequent)} frequent itemsets")
 
-        # A service with a 250 ms latency SLO, and the ops endpoint
-        # riding the same event loop.
-        service = session.serve(cache_size=512, slo_target=0.25)
-        async with service, OpsServer(service=service) as ops:
+        # One tenant with a 250 ms latency SLO, behind the gateway.
+        tenants = TenantRegistry(cache_size=512, slo_target=0.25)
+        tenants.create("default", session.ossm)
+        async with tenants, Gateway(tenants) as gateway:
+            host, port = gateway.host, gateway.port
             for itemset in [(3, 7), (12,), (3, 7), (1, 2, 3)]:
-                await service.query(itemset)
+                answer = json.loads(await http(
+                    host, port, "POST", "/v1/tenants/default/bounds",
+                    json.dumps({"itemset": itemset}).encode(),
+                ))
+                assert answer["bound"] == session.ossm.upper_bound(itemset)
 
-            metrics = await http_get(ops.host, ops.port, "/metrics")
+            metrics = await http(host, port, "GET", "/metrics")
             print(f"\n-- /metrics ({len(metrics.splitlines())} lines) --")
             for line in metrics.splitlines():
                 if line.startswith(
@@ -78,13 +90,16 @@ async def main() -> None:
                 ):
                     print(f"  {line}")
 
-            health = await http_get(ops.host, ops.port, "/health")
+            health = await http(host, port, "GET", "/health")
             print(f"-- /health --\n  {health.strip()}")
 
-        stats = service.stats()
-        latency, slo = stats["latency"], stats["slo"]
+            stats = json.loads(await http(host, port, "GET", "/stats"))
+
+        tenant = stats["tenants"]["default"]
+        latency, slo = tenant["latency"], tenant["slo"]
         print(
-            f"-- SLOs --\n"
+            f"-- /stats: tenant 'default' at epoch {tenant['epoch']}, "
+            f"{tenant['pending']} pending --\n"
             f"  p50 {latency['p50_ms']:.2f} ms / "
             f"p95 {latency['p95_ms']:.2f} ms / "
             f"p99 {latency['p99_ms']:.2f} ms "
@@ -93,7 +108,7 @@ async def main() -> None:
             f"error budget {slo['budget_remaining']:.0%} remaining"
         )
 
-    print("done: scraped live telemetry off the serving loop.")
+    print("done: scraped live telemetry off the serving gateway.")
 
 
 if __name__ == "__main__":

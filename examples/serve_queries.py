@@ -9,7 +9,8 @@ Demonstrates the :mod:`repro.serve` layer end to end:
 2. stand up a :class:`~repro.serve.BoundQueryService` and answer
    single and batched bound queries (every answer is byte-identical to
    calling ``ossm.upper_bound`` yourself — the service only adds
-   caching, coalescing, and back-pressure);
+   caching, one evaluation per distinct itemset of a batch, and
+   back-pressure);
 3. grow the collection with ``Session.extend`` — the map's epoch
    advances, the service's cache invalidates wholesale, and the next
    queries are answered against the grown map (DESIGN.md §10);
@@ -44,7 +45,8 @@ async def main() -> None:
             assert bound == exact
             print(f"  bound{itemset} = {bound}")
 
-        # A batch: mixed cardinalities are fine, duplicates coalesce.
+        # A batch: mixed cardinalities are fine, and a repeated itemset
+        # is evaluated once.
         batch = [(1, 2), (1, 2, 3), (5, 9), (1, 2)]
         bounds = await service.query_batch(batch)
         print(f"  batch of {len(batch)} -> {bounds}")

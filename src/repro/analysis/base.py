@@ -103,7 +103,6 @@ RESOURCE_SPECS: dict[str, ResourceSpec] = {
     "BoundQueryService": ResourceSpec(
         "bound-query service", frozenset({"aclose"})
     ),
-    "OpsServer": ResourceSpec("ops endpoint", frozenset({"aclose"})),
     "open": ResourceSpec("file handle", frozenset({"close"})),
     # Context-manager factories: entering the ``with`` is what runs the
     # body at all, so a call never wrapped in one is always a defect.

@@ -1,10 +1,9 @@
 """Async-hygiene checker: keep the event loop responsive and tasks owned.
 
-The serve plane (:mod:`repro.serve.service`, :mod:`repro.obs.export`)
-runs a single event loop; one blocking call inside a coroutine stalls
-every in-flight query, and the SLO math of DESIGN.md §11 silently stops
-meaning anything. These rules encode the loop discipline that code
-review keeps re-explaining:
+The serve plane (:mod:`repro.serve`) runs a single event loop; one
+blocking call inside a coroutine stalls every in-flight query, and the
+SLO math of DESIGN.md §11 silently stops meaning anything. These rules
+encode the loop discipline that code review keeps re-explaining:
 
 * ``async-blocking-call`` — a known-blocking call (``time.sleep``,
   builtin ``open``, ``subprocess.*``, ``os.system``, ``Future.result``)
@@ -16,13 +15,14 @@ review keeps re-explaining:
   ``RuntimeWarning`` at GC time in production.
 * ``async-dropped-task`` — ``asyncio.create_task(...)`` as a bare
   expression statement. The loop holds only a weak reference; a dropped
-  task can be garbage-collected mid-flight. Keep the reference (the
-  serve plane's ``self._tasks`` set is the house pattern).
+  task can be garbage-collected mid-flight. Keep the reference (as
+  ``BatchScheduler._flusher`` does).
 * ``async-unshielded-wait-for`` — ``asyncio.wait_for`` applied to an
   already-existing task/future (a name, not a fresh call): on timeout
   ``wait_for`` *cancels* its argument, killing work other waiters may
-  share. Wrap shared work in ``asyncio.shield`` (see
-  ``BoundQueryService._query_batch``).
+  share. Wrap shared work in ``shield()``; a fresh coroutine call
+  (``BoundQueryService._query_batch``'s own evaluation) is exclusive
+  to its caller and may be cancelled with it.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class AsyncHygieneChecker(Checker):
                         node,
                         "wait_for() on an existing task/future cancels it "
                         "on timeout, killing work other waiters share — "
-                        "wrap the argument in asyncio.shield()",
+                        "wrap the argument in shield()",
                     )
                 )
 

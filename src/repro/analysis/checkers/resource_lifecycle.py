@@ -1,7 +1,7 @@
 """Resource-lifecycle checker: every acquire must reach its release.
 
 The program hands around OS-level resources — process pools,
-serve/ops endpoints, file handles, ``atomic_*`` artifacts — and fault
+bound-query services, file handles, ``atomic_*`` artifacts — and fault
 injection showed exactly how they escape: not on the happy path, but
 on the *exception* path between the acquiring call and the ``try``
 that was supposed to protect it. The

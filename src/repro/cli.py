@@ -8,7 +8,9 @@ Subcommands cover the full pipeline:
 * ``mine`` — run a miner (optionally OSSM-accelerated) over a file;
 * ``serve`` — answer Equation (1) bound queries from a saved OSSM
   through the online :class:`~repro.serve.service.BoundQueryService`
-  (epoch-tagged cache, coalescing, back-pressure);
+  (epoch-tagged cache, back-pressure), or with ``--listen`` serve them
+  over HTTP from the multi-tenant gateway (which also serves
+  ``/metrics``, ``/health`` and ``/stats``);
 * ``recipe`` — print the Figure 7 strategy recommendation;
 * ``bench-history`` — read the accumulated ``BENCH_*.json`` records
   and flag per-metric regressions beyond a noise band.
@@ -52,7 +54,6 @@ from .mining.fpgrowth import FPGrowth
 from .mining.partition import Partition
 from .mining.pruning import NullPruner, OSSMPruner
 from .obs.instrument import record_ossm_build
-from .obs.export import OpsServer
 from .obs.log import configure_logging, get_logger
 from .obs.metrics import MetricsRegistry, get_registry, use_registry
 from .obs.trace import TraceRecorder, use_recorder
@@ -189,11 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="per-batch latency SLO target; batches over "
                             "it count against the error budget")
-    serve.add_argument("--ops-port", type=int, default=None,
-                       metavar="PORT",
-                       help="expose /metrics, /health, /stats on "
-                            "127.0.0.1:PORT while serving (0 = any "
-                            "free port)")
     serve.add_argument("--listen", default=None, metavar="[HOST:]PORT",
                        help="run the multi-tenant HTTP gateway instead "
                             "of a one-shot query pass (':0' = any free "
@@ -572,13 +568,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def run() -> None:
-        async with contextlib.AsyncExitStack() as scopes:
-            await scopes.enter_async_context(service)
-            if args.ops_port is not None:
-                ops = await scopes.enter_async_context(
-                    OpsServer(service=service, port=args.ops_port)
-                )
-                print(f"ops endpoint on http://{ops.host}:{ops.port}/")
+        async with service:
             batch = max(1, args.batch)
             for start in range(0, len(queries), batch):
                 chunk = queries[start:start + batch]

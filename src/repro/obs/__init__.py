@@ -14,9 +14,8 @@ Four cooperating layers, all stdlib-only and silent/no-op by default:
 * :mod:`repro.obs.report` — renders snapshots and traces as the
   human-readable run report (including pruning effectiveness and the
   Equation (1) bound-tightness distribution);
-* :mod:`repro.obs.export` — the telemetry export plane: Prometheus
-  text exposition of any snapshot plus the asyncio ops endpoint
-  (``/metrics``, ``/health``, ``/stats``);
+* :mod:`repro.obs.export` — Prometheus text exposition of any
+  snapshot (the gateway serves it at ``/metrics``);
 * :mod:`repro.obs.quantiles` — a fixed-bucket sliding-window quantile
   estimator for rolling latency SLOs.
 
@@ -25,7 +24,7 @@ one no-op method call per event — see DESIGN.md §6 and
 ``benchmarks/bench_obs_overhead.py``, which enforces it.
 """
 
-from .export import OpsServer, prometheus_name, render_prometheus
+from .export import prometheus_name, render_prometheus
 from .log import configure_logging, get_logger, reset_logging
 from .metrics import (
     Counter,
@@ -51,7 +50,6 @@ from .trace import (
 )
 
 __all__ = [
-    "OpsServer",
     "prometheus_name",
     "render_prometheus",
     "LATENCY_BUCKETS",

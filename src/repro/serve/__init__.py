@@ -1,12 +1,12 @@
 """Online bound-query serving layer.
 
 Answers Equation (1) upper-bound queries over live OSSMs as an asyncio
-service plane: epoch-tagged caching, duplicate coalescing,
-back-pressure, timeouts, parallel batch evaluation with serial
-fallback — and, above the single-map service, the multi-tenant HTTP
-gateway. See DESIGN.md §10 for the epoch/invalidation correctness
-argument, §15 for tenant isolation, and ``repro-ossm serve`` for the
-CLI front end.
+service plane: epoch-tagged caching, back-pressure, timeouts, batch
+evaluation on the event loop — and, above the single-map service,
+per-tenant admission (the one layer that merges concurrent requests)
+and the multi-tenant HTTP gateway (the one HTTP server). See DESIGN.md
+§10 for the epoch/invalidation correctness argument, §15 for tenant
+isolation, and ``repro-ossm serve`` for the CLI front end.
 
 * :class:`~repro.serve.service.BoundQueryService` — one map's service;
   its batches come back as :class:`~repro.serve.service.EpochBounds`,
@@ -19,8 +19,8 @@ CLI front end.
 * :class:`~repro.serve.admission.BatchScheduler` — per-tenant quota
   gate + cross-request batch coalescing.
 * :class:`~repro.serve.gateway.Gateway` — the stdlib-asyncio HTTP
-  edge (``/v1/tenants/...``), with ``/ready``-vs-``/health`` graceful
-  drain.
+  edge (``/v1/tenants/...``, ``/metrics``, ``/stats``), with
+  ``/ready``-vs-``/health`` graceful drain.
 * :class:`~repro.serve.durability.TenantStore` — the crash-consistent
   control plane: CRC-framed write-ahead log + atomic artifact
   directory behind ``TenantRegistry.recover`` (DESIGN.md §16).

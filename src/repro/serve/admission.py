@@ -13,9 +13,11 @@ things the service deliberately does not:
   arrive while a batch evaluates queue behind it and ride the next
   batch together (group commit, no timer). A hundred single-itemset
   HTTP requests queued behind one batch cost one cache walk and one
-  engine fan-out instead of a hundred. The service's own same-key
-  coalescing and epoch-tagged cache then apply to the merged batch
-  unchanged.
+  Equation (1) evaluation instead of a hundred. The service then
+  evaluates each distinct key of the merged batch once, behind its
+  epoch-tagged cache. This is the serving plane's only cross-request
+  coalescing: flushes run one at a time, so a tenant's service calls
+  never overlap.
 
 The scheduler never reorders within a request: every caller gets its
 bounds aligned with its own input order, whatever batch they rode in.

@@ -26,7 +26,9 @@ path.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 __all__ = ["CacheStats", "EpochLRUCache"]
 
@@ -126,20 +128,32 @@ class EpochLRUCache:
         self.stats.hits += 1
         return bound
 
-    def put(self, itemset: Itemset, bound: int, epoch: int) -> bool:
-        """Insert a bound computed against map *epoch*.
+    def put(
+        self, itemsets: Sequence[Itemset], bounds: Sequence[int], epoch: int
+    ) -> bool:
+        """Insert *bounds*, aligned with *itemsets*, computed against map
+        *epoch*; the batch becomes the most recently used entries.
 
         Returns False (and stores nothing) when *epoch* is stale — the
-        normal outcome of a computation that raced an invalidation.
+        normal outcome of a computation that raced an invalidation —
+        counting one stale drop per key.
         """
         if epoch != self.epoch:
-            self.stats.stale_drops += 1
+            self.stats.stale_drops += len(itemsets)
             return False
-        self._entries[itemset] = (int(epoch), int(bound))
-        self._entries.move_to_end(itemset)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        entries = self._entries
+        before = len(entries)
+        entries.update(zip(itemsets, zip(repeat(epoch), bounds)))
+        if len(entries) - before < len(itemsets):
+            # Some keys were already cached and kept their old place:
+            # move the whole batch to the recent end, in order.
+            for itemset in itemsets:
+                entries.move_to_end(itemset)
+        excess = len(entries) - self.maxsize
+        if excess > 0:
+            self.stats.evictions += excess
+            for _ in range(excess):
+                entries.popitem(last=False)
         return True
 
     def clear(self) -> None:

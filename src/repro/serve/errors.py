@@ -119,8 +119,8 @@ class QuotaExceeded(Overloaded):
 class QueryTimeout(ServeError):
     """The per-request timeout elapsed before the bound was computed.
 
-    The underlying evaluation is *not* cancelled — coalesced waiters
-    may still be counting on it, and its result still warms the cache.
+    The call's own evaluation is cancelled with it and warms nothing;
+    no other call waits on it.
     """
 
     status_code = 504

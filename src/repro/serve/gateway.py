@@ -1,9 +1,8 @@
 """HTTP gateway: the network edge of the multi-tenant serving plane.
 
-:class:`Gateway` extends the stdlib-asyncio HTTP pattern of
-:class:`~repro.obs.export.OpsServer` (``asyncio.start_server``, no
-dependencies) into a small versioned API over a
-:class:`~repro.serve.tenants.TenantRegistry`:
+:class:`Gateway` is a stdlib-asyncio HTTP server
+(``asyncio.start_server``, no dependencies) exposing a small versioned
+API over a :class:`~repro.serve.tenants.TenantRegistry`:
 
 ========  ==============================  =================================
 Method    Path                            Meaning

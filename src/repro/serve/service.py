@@ -7,19 +7,22 @@ with:
 * an epoch-tagged bounded LRU cache
   (:class:`~repro.serve.cache.EpochLRUCache`), invalidated wholesale
   when :meth:`BoundQueryService.update` advances the map's epoch;
-* request coalescing — concurrent queries for the same canonical
-  itemset share one evaluation, one future per evaluated batch;
 * back-pressure — a bounded pending set; requests that would exceed it
   are shed with :class:`~repro.serve.errors.Overloaded`;
-* per-request timeouts (:class:`~repro.serve.errors.QueryTimeout`) that
-  abandon the *wait*, never the shared evaluation;
+* per-request timeouts (:class:`~repro.serve.errors.QueryTimeout`)
+  that cancel the caller's own evaluation;
 * batch evaluation through ``OSSM.upper_bounds``, one call per
   itemset cardinality, retried once on failure.
 
-Evaluation runs on the event loop: a batch of at most ``max_pending``
-itemsets costs about what a thread hop did (EXPERIMENTS.md, "Batch
-futures and inline evaluation"), and far less than shipping it to
-worker processes would (EXPERIMENTS.md, "Serve pool").
+Each call evaluates its own misses, once per distinct key, inline on
+the event loop: a batch of at most ``max_pending`` itemsets costs
+about what a thread hop did (EXPERIMENTS.md, "Batch futures and
+inline evaluation"), and far less than shipping it to worker
+processes would (EXPERIMENTS.md, "Serve pool"). Calls are not
+coalesced with each other here: behind the gateway a tenant's
+admission scheduler flushes one batch at a time, so its calls never
+overlap, and merging concurrent requests is that layer's job
+(:mod:`repro.serve.admission`).
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ __all__ = ["BoundQueryService", "EpochBounds", "canonical_itemset"]
 logger = get_logger(__name__)
 
 Itemset = tuple[int, ...]
-#: An in-flight key's place: the future of the batch evaluating it and
-#: the key's position in that batch's bound list.
-Slot = tuple["asyncio.Future[list[int]]", int]
 
 _UNSET = object()
 
@@ -56,9 +56,9 @@ class EpochBounds(list[int]):
     ``epoch`` of the map that answered them.
 
     A plain ``list`` in every other respect. The label is taken in the
-    same synchronous step that reads the cache and dispatches the
-    misses, so a publish racing the request can never pair one map's
-    bounds with another map's epoch.
+    same synchronous step that reads the cache and snapshots the map
+    the misses are evaluated against, so a publish racing the request
+    can never pair one map's bounds with another map's epoch.
     """
 
     __slots__ = ("epoch",)
@@ -71,13 +71,14 @@ class EpochBounds(list[int]):
 def canonical_itemset(
     itemset: Iterable[int], n_items: int | None = None
 ) -> Itemset:
-    """Sorted duplicate-free tuple — the cache/coalescing key.
+    """Sorted duplicate-free tuple — the cache key.
 
     Equation (1) is a min over the itemset's columns, so item order and
     repetition cannot change the bound; canonicalizing lets ``(2, 1)``,
     ``(1, 2, 2)`` and ``(1, 2)`` share one cache entry and one
-    in-flight evaluation. Items must be integers in ``range(n_items)``
-    (numpy integers pass); a bool or float raises ``ValueError``.
+    evaluation within a batch. Items must be integers in
+    ``range(n_items)`` (numpy integers pass); a bool or float raises
+    ``ValueError``.
     """
     items = sorted({
         item if type(item) is int else _item_id(item) for item in itemset
@@ -149,9 +150,7 @@ class BoundQueryService:
         self._cache = EpochLRUCache(cache_size, epoch=ossm.epoch)
         self.max_pending = int(max_pending)
         self.timeout = timeout
-        self._inflight: dict[Itemset, Slot] = {}
         self._pending = 0
-        self._tasks: set[asyncio.Task[None]] = set()
         self._closed = False
         self._published = {
             "hits": 0, "misses": 0, "evictions": 0,
@@ -222,8 +221,8 @@ class BoundQueryService:
         the same collection) also clears the cache, because a reshaped
         map yields different — though equally sound — bound values.
         In-flight evaluations finish against the map they started with
-        and deliver to their original waiters; their results are
-        dropped at the cache door by the epoch tag.
+        and answer their own callers; their results are dropped at the
+        cache door by the epoch tag.
         """
         if ossm is self._ossm:
             return False
@@ -236,9 +235,6 @@ class BoundQueryService:
         if not advanced:
             self._cache.clear()
         self._ossm = ossm
-        # New queries must not coalesce onto old-map evaluations; a
-        # running batch unregisters only the keys still pointing at it.
-        self._inflight = {}
         metrics = get_registry()
         if metrics.enabled:
             metrics.inc("serve.updates")
@@ -264,11 +260,11 @@ class BoundQueryService:
         """Bounds for *itemsets*, aligned with the input order and
         labelled with the epoch of the map that answered them.
 
-        Cache hits are answered immediately; misses coalesce with any
-        identical in-flight query and the remainder is evaluated as one
-        batch. Raises :class:`Overloaded` when the miss set would
-        exceed ``max_pending`` and :class:`QueryTimeout` when the
-        per-request deadline passes first.
+        Cache hits are answered immediately; the distinct misses are
+        evaluated as one batch, and repeats of a key share its bound.
+        Raises :class:`Overloaded` when the miss set would exceed
+        ``max_pending`` and :class:`QueryTimeout` (cancelling the
+        evaluation) when the per-request deadline passes first.
 
         Every request lands in the rolling latency window behind
         ``stats()``; sheds, timeouts, and (when ``slo_target`` is set)
@@ -309,130 +305,77 @@ class BoundQueryService:
     ) -> EpochBounds:
         wait_for = self.timeout if timeout is _UNSET else timeout
         ossm = self._ossm
-        inflight = self._inflight
         cache = self._cache
-        # Every key is validated before any future is registered: a
-        # rejected item must not strand the keys before it, onto which
-        # later queries would coalesce and hang.
         n_items = ossm.n_items
         keys = [canonical_itemset(raw, n_items) for raw in itemsets]
         results = [0] * len(keys)
-        waiting: list[tuple[int, asyncio.Future[list[int]], int]] = []
-        batch: asyncio.Future[list[int]] | None = None
-        awaited: dict[asyncio.Future[list[int]], None] = {}
-        fresh: list[Itemset] = []
-        coalesced = 0
+        # Each distinct miss's position in the evaluated batch, and the
+        # (result index, batch position) pairs that read it back.
+        fresh: dict[Itemset, int] = {}
+        waiting: list[tuple[int, int]] = []
         for index, key in enumerate(keys):
             cached = cache.get(key)
             if cached is not None:
                 results[index] = cached
-                continue
-            slot = inflight.get(key)
-            if slot is None:
-                if batch is None:
-                    batch = asyncio.get_running_loop().create_future()
-                slot = inflight[key] = (batch, len(fresh))
-                fresh.append(key)
-            elif slot[0] is not batch:
-                # Another call's batch is evaluating this key.
-                awaited[slot[0]] = None
-                coalesced += 1
-            waiting.append((index, *slot))
+            else:
+                waiting.append((index, fresh.setdefault(key, len(fresh))))
 
         metrics = get_registry()
         if metrics.enabled:
             metrics.inc("serve.requests")
             metrics.inc("serve.queries", len(itemsets))
-        if batch is not None:
-            if self._pending + len(fresh) > self.max_pending:
-                # The fresh keys were registered without an await in
-                # between, so no other task can have coalesced onto
-                # them yet; unregistering is race-free.
-                for key in fresh:
-                    del inflight[key]
+        if fresh:
+            batch = list(fresh)
+            if self._pending + len(batch) > self.max_pending:
                 if metrics.enabled:
                     metrics.inc("serve.shed")
                 raise Overloaded(
-                    self._pending + len(fresh), self.max_pending
+                    self._pending + len(batch), self.max_pending
                 )
-            self._pending += len(fresh)
+            self._pending += len(batch)
             if metrics.enabled:
                 metrics.set_gauge("serve.queue_depth", self._pending)
-            task = asyncio.create_task(self._run_batch(ossm, fresh, batch))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-            awaited[batch] = None
-
-        if awaited:
-            if metrics.enabled:
-                metrics.inc("serve.coalesced", coalesced)
-            futures = list(awaited)
             try:
-                # shield: a timed-out waiter must not cancel the
-                # evaluation that coalesced waiters still need.
-                answers = await asyncio.wait_for(
-                    asyncio.shield(asyncio.gather(*futures)), wait_for
-                )
-            except asyncio.TimeoutError:
+                if wait_for is None:
+                    bounds = await self._run_batch(ossm, batch)
+                else:
+                    try:
+                        bounds = await asyncio.wait_for(
+                            self._run_batch(ossm, batch), wait_for
+                        )
+                    except asyncio.TimeoutError:
+                        if metrics.enabled:
+                            metrics.inc("serve.timeouts")
+                        raise QueryTimeout(float(wait_for)) from None
+            finally:
+                self._pending -= len(batch)
                 if metrics.enabled:
-                    metrics.inc("serve.timeouts")
-                raise QueryTimeout(float(wait_for)) from None
-            by_future = dict(zip(futures, answers))
-            for index, future, position in waiting:
-                results[index] = by_future[future][position]
+                    metrics.set_gauge("serve.queue_depth", self._pending)
+            cache.put(batch, bounds, ossm.epoch)
+            for index, position in waiting:
+                results[index] = bounds[position]
         if metrics.enabled:
             self._flush_cache_metrics(metrics)
         return EpochBounds(results, ossm.epoch)
 
-    async def _run_batch(
-        self,
-        ossm: OSSM,
-        keys: list[Itemset],
-        batch: asyncio.Future[list[int]],
-    ) -> None:
-        """Evaluate *keys* against *ossm*; resolve *batch* with bounds."""
+    async def _run_batch(self, ossm: OSSM, keys: list[Itemset]) -> list[int]:
+        """Bounds for *keys* against *ossm*, retried once on failure."""
         metrics = get_registry()
-        try:
-            with trace(
-                "serve.batch", size=len(keys), epoch=ossm.epoch
-            ), metrics.time("serve.batch_seconds"):
-                try:
-                    bounds = await self._evaluate(ossm, keys)
-                except Exception as exc:
-                    # One retry absorbs a transient evaluation failure
-                    # (e.g. an injected serve.eval_error) without
-                    # failing every coalesced waiter; a second failure
-                    # is delivered below.
-                    if metrics.enabled:
-                        metrics.inc("resilience.serve.eval_retries")
-                    logger.warning(
-                        "batch evaluation failed, retrying once: %r", exc
-                    )
-                    bounds = await self._evaluate(ossm, keys)
-        except BaseException as exc:
-            # Deliver the failure through the future; re-raising here
-            # would only produce an unretrieved-task warning since no
-            # one awaits the batch task itself.
-            logger.error("batch evaluation failed: %r", exc)
-            if not batch.done():
-                batch.set_exception(exc)
-        else:
-            cache = self._cache
-            for key, bound in zip(keys, bounds):
-                cache.put(key, bound, ossm.epoch)
-            if not batch.done():
-                batch.set_result(bounds)
-        finally:
-            # update() may have swapped the dict since: a key now
-            # registered to a newer batch is not ours to remove.
-            inflight = self._inflight
-            for key in keys:
-                slot = inflight.get(key)
-                if slot is not None and slot[0] is batch:
-                    del inflight[key]
-            self._pending -= len(keys)
-            if metrics.enabled:
-                metrics.set_gauge("serve.queue_depth", self._pending)
+        with trace(
+            "serve.batch", size=len(keys), epoch=ossm.epoch
+        ), metrics.time("serve.batch_seconds"):
+            try:
+                return await self._evaluate(ossm, keys)
+            except Exception as exc:
+                # One retry absorbs a transient evaluation failure
+                # (e.g. an injected serve.eval_error); a second failure
+                # reaches the caller.
+                if metrics.enabled:
+                    metrics.inc("resilience.serve.eval_retries")
+                logger.warning(
+                    "batch evaluation failed, retrying once: %r", exc
+                )
+                return await self._evaluate(ossm, keys)
 
     # -- evaluation ------------------------------------------------------
 
@@ -466,10 +409,9 @@ class BoundQueryService:
     # -- lifecycle -------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Refuse new queries and drain in-flight batches."""
+        """Refuse new queries; calls already evaluating finish in their
+        own tasks."""
         self._closed = True
-        if self._tasks:
-            await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
 
     async def __aenter__(self) -> "BoundQueryService":
         return self

@@ -1,7 +1,7 @@
 """Multi-tenant registry: named bound-query services with quotas.
 
 One box serves many tenants, each with its own OSSM, its own
-:class:`~repro.serve.service.BoundQueryService` (cache, coalescing,
+:class:`~repro.serve.service.BoundQueryService` (cache and
 back-pressure), its own admission-controlled batch scheduler
 (:class:`~repro.serve.admission.BatchScheduler`), and its own quota.
 :class:`TenantRegistry` owns the mapping and the two cross-tenant

@@ -1,12 +1,7 @@
-"""Prometheus exposition and the asyncio ops endpoint."""
+"""Prometheus exposition of metric snapshots."""
 
-import asyncio
-import json
-
-import pytest
-
-from repro.obs.export import OpsServer, prometheus_name, render_prometheus
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.export import prometheus_name, render_prometheus
+from repro.obs.metrics import MetricsRegistry
 
 
 def sample_registry() -> MetricsRegistry:
@@ -54,117 +49,3 @@ class TestRenderPrometheus:
 
     def test_empty_snapshot_is_just_a_newline(self):
         assert render_prometheus(MetricsRegistry().snapshot()) == "\n"
-
-
-async def _http_get(host: str, port: int, path: str, method: str = "GET"):
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(
-        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
-    )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    head, _, body = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b" ", 2)[1])
-    return status, body.decode("utf-8")
-
-
-class FakeService:
-    def stats(self):
-        return {"epoch": 7, "pending": 3}
-
-
-class TestOpsServer:
-    def test_metrics_endpoint_scrapes_registry(self):
-        async def run():
-            async with OpsServer(registry=sample_registry()) as server:
-                return await _http_get(server.host, server.port, "/metrics")
-
-        status, body = asyncio.run(run())
-        assert status == 200
-        assert "repro_apriori_levels_total 3" in body
-
-    def test_metrics_endpoint_tracks_active_registry(self):
-        # No explicit registry: the scrape sees whatever is active at
-        # request time, so a server started early still works.
-        async def run():
-            async with OpsServer() as server:
-                with use_registry(sample_registry()):
-                    return await _http_get(
-                        server.host, server.port, "/metrics"
-                    )
-
-        status, body = asyncio.run(run())
-        assert status == 200
-        assert "repro_cache_size 42" in body
-
-    def test_health_includes_service_liveness(self):
-        async def run():
-            async with OpsServer(service=FakeService()) as server:
-                return await _http_get(server.host, server.port, "/health")
-
-        status, body = asyncio.run(run())
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["status"] == "ok"
-        assert payload["epoch"] == 7
-        assert payload["pending"] == 3
-
-    def test_stats_reports_service_and_metric_counts(self):
-        async def run():
-            async with OpsServer(
-                registry=sample_registry(), service=FakeService()
-            ) as server:
-                return await _http_get(server.host, server.port, "/stats")
-
-        status, body = asyncio.run(run())
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["service"]["epoch"] == 7
-        assert payload["metrics"]["counters"] == 1
-        assert payload["metrics"]["histograms"] == 1
-
-    def test_unknown_path_is_404(self):
-        async def run():
-            async with OpsServer() as server:
-                return await _http_get(server.host, server.port, "/nope")
-
-        status, _ = asyncio.run(run())
-        assert status == 404
-
-    def test_non_get_is_405(self):
-        async def run():
-            async with OpsServer() as server:
-                return await _http_get(
-                    server.host, server.port, "/metrics", method="POST"
-                )
-
-        status, _ = asyncio.run(run())
-        assert status == 405
-
-    def test_scrapes_counted_when_registry_enabled(self):
-        registry = sample_registry()
-
-        async def run():
-            async with OpsServer(registry=registry) as server:
-                await _http_get(server.host, server.port, "/metrics")
-                await _http_get(server.host, server.port, "/nope")
-
-        asyncio.run(run())
-        assert registry.counter("obs.http.requests").value == 2
-        assert registry.counter("obs.http.errors").value == 1
-
-    def test_start_is_idempotent_and_close_releases_port(self):
-        async def run():
-            server = OpsServer()
-            await server.start()
-            first_port = server.port
-            await server.start()
-            assert server.port == first_port
-            await server.aclose()
-            await server.aclose()  # idempotent
-            with pytest.raises(OSError):
-                await _http_get(server.host, first_port, "/health")
-
-        asyncio.run(run())

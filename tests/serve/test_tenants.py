@@ -193,6 +193,31 @@ class TestRegistryLifecycle:
         asyncio.run(main())
 
 
+class TestDuplicates:
+    def test_same_tick_duplicates_evaluate_once(self, ossm):
+        """Same-tick queries for one itemset ride one admission batch,
+        and the service evaluates its distinct keys once each."""
+        evaluated = []
+
+        async def main():
+            async with TenantRegistry() as tenants:
+                tenant = tenants.create("acme", ossm)
+                inner = tenant.service._evaluate
+
+                async def counted_evaluate(current, keys):
+                    evaluated.extend(keys)
+                    return await inner(current, keys)
+
+                tenant.service._evaluate = counted_evaluate
+                return await asyncio.gather(
+                    *(tenant.query((4, 9)) for _ in range(8))
+                )
+
+        bounds = asyncio.run(main())
+        assert bounds == [ossm.upper_bound((4, 9))] * 8
+        assert evaluated == [(4, 9)]
+
+
 class TestPublish:
     def test_publish_always_advances_the_epoch(self, ossm):
         async def main():

@@ -65,6 +65,6 @@ def test_key_symbols_reachable_from_top_level():
         "Gateway", "TenantRegistry", "Tenant", "TenantQuota",
         "TokenBucket", "BatchScheduler", "QuotaExceeded",
         "UnknownTenant", "InvalidRequest",
-        "OpsServer", "SlidingQuantile", "render_prometheus",
+        "SlidingQuantile", "render_prometheus",
     ):
         assert hasattr(repro, name), name
