@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import OSSM, extend_ossm
 from repro.data import generate_quest
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.resilience import FaultPlan, FaultRule, use_faults
 from repro.serve import Gateway, TenantQuota, TenantRegistry
 from repro.serve import gateway as gateway_module
@@ -443,8 +443,6 @@ class TestStatsAndOps:
         run(main())
 
     def test_metrics_route_exposes_tenant_counters(self, ossm):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
         registry = MetricsRegistry()
 
         async def main():
@@ -464,6 +462,76 @@ class TestStatsAndOps:
 
         with use_registry(registry):
             run(main())
+
+
+    def test_metrics_route_scrapes_its_own_registry(self):
+        registry = MetricsRegistry()
+        registry.inc("apriori.levels", 3)
+        registry.set_gauge("cache.size", 42)
+
+        async def main():
+            async with Gateway(registry=registry) as gateway:
+                return await http(gateway, "GET", "/metrics")
+
+        status, _, body = run(main())
+        assert status == 200
+        text = body.decode("utf-8")
+        assert "repro_apriori_levels_total 3" in text
+        assert "repro_cache_size 42" in text
+
+    def test_metrics_route_tracks_the_active_registry(self):
+        """Without its own registry the gateway scrapes whichever one is
+        active at request time, so a gateway started early still works."""
+        registry = MetricsRegistry()
+        registry.set_gauge("cache.size", 42)
+
+        async def main():
+            async with Gateway() as gateway:
+                with use_registry(registry):
+                    return await http(gateway, "GET", "/metrics")
+
+        status, _, body = run(main())
+        assert status == 200
+        assert "repro_cache_size 42" in body.decode("utf-8")
+
+    def test_tenant_stats_carry_epoch_and_pending(self, ossm):
+        async def main():
+            async with Gateway() as gateway:
+                gateway.tenants.create("acme", ossm)
+                _, _, tenant_body = await http(
+                    gateway, "GET", "/v1/tenants/acme/stats"
+                )
+                _, _, registry_body = await http(gateway, "GET", "/stats")
+                return json.loads(tenant_body), json.loads(registry_body)
+
+        tenant, registry_wide = run(main())
+        assert tenant["epoch"] == ossm.epoch
+        assert tenant["pending"] == 0
+        assert registry_wide["tenants"]["acme"]["epoch"] == ossm.epoch
+        assert registry_wide["tenants"]["acme"]["pending"] == 0
+
+    @pytest.mark.parametrize(
+        "path", ["/health", "/ready", "/metrics", "/stats"]
+    )
+    def test_ops_routes_answer_get_only(self, path):
+        async def main():
+            async with Gateway() as gateway:
+                return await http(gateway, "POST", path, b"{}")
+
+        status, _, _body = run(main())
+        assert status == 405
+
+    def test_requests_and_errors_are_counted(self):
+        registry = MetricsRegistry()
+
+        async def main():
+            async with Gateway(registry=registry) as gateway:
+                await http(gateway, "GET", "/metrics")
+                await http(gateway, "GET", "/nope")
+
+        run(main())
+        assert registry.counter("serve.gateway.requests").value == 2
+        assert registry.counter("serve.gateway.errors").value == 1
 
 
 class TestHttpPlumbing:
@@ -573,6 +641,21 @@ class TestHttpPlumbing:
                     gateway, "DELETE", "/v1/tenants/acme"
                 )
                 assert status == 404
+
+        run(main())
+
+
+    def test_start_is_idempotent_and_close_releases_port(self):
+        async def main():
+            gateway = Gateway()
+            await gateway.start()
+            port = gateway.port
+            assert await gateway.start() is gateway
+            assert gateway.port == port
+            await gateway.aclose()
+            await gateway.aclose()  # idempotent
+            with pytest.raises(OSError):
+                await asyncio.open_connection(gateway.host, port)
 
         run(main())
 
