@@ -385,10 +385,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         f"in {result.elapsed_seconds:.2f}s; "
         f"candidates counted {result.candidates_counted()}"
     )
-    shown = result.sorted_itemsets()
-    if args.top:
-        shown = shown[: args.top]
-    for itemset, support in shown:
+    top = args.top if args.top > 0 else None
+    for itemset, support in result.sorted_itemsets(top):
         print(f"  {{{','.join(map(str, itemset))}}}: {support}")
     return 0
 

@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "ItemsetTable",
     "as_array",
+    "cardinality",
     "domain_mask",
     "lexsort_rows",
     "select",
@@ -193,6 +194,18 @@ def as_array(
             f"[0, {n_items})"
         )
     return array
+
+
+def cardinality(itemsets: Sequence[Itemset]) -> int:
+    """Size of the itemsets of one same-size level; 0 when it is empty.
+
+    Reads a table's shape, so it builds no tuple.
+    """
+    if not itemsets:
+        return 0
+    if isinstance(itemsets, ItemsetTable):
+        return int(itemsets.array.shape[1])
+    return len(itemsets[0])
 
 
 def domain_mask(array: np.ndarray, n_items: int) -> np.ndarray | None:

@@ -118,7 +118,7 @@ class Apriori:
         """Find all frequent itemsets of *database* at *min_support*."""
         threshold = resolve_min_support(database, min_support)
         result = MiningResult(
-            frequent={},
+            frequent=None,
             min_support=threshold,
             algorithm=self.name + self.pruner.label,
         )

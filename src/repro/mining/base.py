@@ -9,12 +9,17 @@ Figure 4(b) and the Section 7 table report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..core.itemset_table import select
+from ..core.itemset_table import (
+    ItemsetTable,
+    cardinality,
+    lexsort_rows,
+    select,
+)
 from ..data.transactions import TransactionDatabase
 
 __all__ = [
@@ -73,14 +78,18 @@ class LevelStats:
     frequent: int = 0
 
 
-@dataclass
 class MiningResult:
     """Frequent itemsets plus the per-level cost accounting.
 
     Attributes
     ----------
     frequent:
-        Mapping from itemset (sorted tuple) to exact support.
+        Mapping from itemset (sorted tuple) to exact support. A
+        level-wise miner that keeps its levels with
+        :meth:`keep_frequent` on a result made with ``frequent=None``
+        builds no tuple while it mines: the mapping is built from the
+        kept levels on first read, and every later read returns that
+        same dict (edits to it persist).
     min_support:
         The absolute threshold used.
     algorithm:
@@ -93,11 +102,43 @@ class MiningResult:
         Per-cardinality accounting, index 0 unused (levels start at 1).
     """
 
-    frequent: dict[Itemset, int]
-    min_support: int
-    algorithm: str
-    elapsed_seconds: float = 0.0
-    levels: list[LevelStats] = field(default_factory=list)
+    def __init__(
+        self,
+        frequent: dict[Itemset, int] | None,
+        min_support: int,
+        algorithm: str,
+        elapsed_seconds: float = 0.0,
+        levels: list[LevelStats] | None = None,
+    ) -> None:
+        self._frequent: dict[Itemset, int] | None = frequent
+        # Kept levels (itemsets, supports) not yet in a dict; only used
+        # while ``_frequent`` is None.
+        self._kept: list[tuple[Sequence[Itemset], np.ndarray]] = []
+        self.min_support = min_support
+        self.algorithm = algorithm
+        self.elapsed_seconds = elapsed_seconds
+        self.levels = levels if levels is not None else []
+
+    def __repr__(self) -> str:
+        return (
+            f"MiningResult(algorithm={self.algorithm!r}, "
+            f"min_support={self.min_support}, "
+            f"n_frequent={self.n_frequent}, levels={len(self.levels)})"
+        )
+
+    @property
+    def frequent(self) -> dict[Itemset, int]:
+        if self._frequent is None:
+            frequent: dict[Itemset, int] = {}
+            for itemsets, supports in self._kept:
+                frequent.update(zip(itemsets, supports.tolist()))
+            self._frequent = frequent
+            self._kept = []
+        return self._frequent
+
+    @frequent.setter
+    def frequent(self, frequent: dict[Itemset, int]) -> None:
+        self._frequent, self._kept = frequent, []
 
     def level(self, k: int) -> LevelStats:
         """Stats of level *k* (>= 1), creating empty levels as needed.
@@ -122,31 +163,49 @@ class MiningResult:
 
         *supports* is aligned with *counted*. A table stays a table, in
         its row order, so a lex-sorted level feeds the next
-        ``apriori_gen`` as it is; tuples are built once, as the
-        ``frequent`` keys.
+        ``apriori_gen`` as it is. Until ``frequent`` is first read the
+        level is kept as it is, with its supports, and no tuple is
+        built; after that it goes straight into the dict.
         """
         keep = supports >= self.min_support
         frequent = select(counted, keep)
-        self.frequent.update(zip(frequent, supports[keep].tolist()))
+        if self._frequent is not None:
+            self._frequent.update(zip(frequent, supports[keep].tolist()))
+        elif frequent:
+            self._kept.append((frequent, supports[keep]))
         return frequent
 
     def itemsets_of_size(self, k: int) -> dict[Itemset, int]:
         """Frequent itemsets of cardinality *k* with their supports."""
+        if self._frequent is None:
+            return {
+                itemset: support
+                for itemsets, supports in self._kept
+                if cardinality(itemsets) == k
+                for itemset, support in zip(itemsets, supports.tolist())
+            }
         return {
             itemset: support
-            for itemset, support in self.frequent.items()
+            for itemset, support in self._frequent.items()
             if len(itemset) == k
         }
 
     @property
     def n_frequent(self) -> int:
         """Total number of frequent itemsets found."""
-        return len(self.frequent)
+        if self._frequent is None:
+            return sum(len(itemsets) for itemsets, _ in self._kept)
+        return len(self._frequent)
 
     @property
     def max_level(self) -> int:
         """Largest cardinality with at least one frequent itemset."""
-        return max((len(itemset) for itemset in self.frequent), default=0)
+        if self._frequent is None:
+            return max(
+                (cardinality(itemsets) for itemsets, _ in self._kept),
+                default=0,
+            )
+        return max((len(itemset) for itemset in self._frequent), default=0)
 
     def candidates_counted(self, k: int | None = None) -> int:
         """Candidates actually counted, at level *k* or in total."""
@@ -164,11 +223,38 @@ class MiningResult:
         """True iff two results found exactly the same itemsets+supports."""
         return self.frequent == other.frequent
 
-    def sorted_itemsets(self) -> list[tuple[Itemset, int]]:
-        """Itemsets sorted by (size, lexicographic) for stable output."""
-        return sorted(
-            self.frequent.items(), key=lambda kv: (len(kv[0]), kv[0])
-        )
+    def sorted_itemsets(
+        self, limit: int | None = None
+    ) -> list[tuple[Itemset, int]]:
+        """Itemsets sorted by (size, lexicographic) for stable output;
+        the first *limit* of them when given.
+
+        Kept levels of increasing size are each sorted on their own and
+        concatenated, so only the returned itemsets become tuples.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        kept = self._kept
+        widths = [cardinality(itemsets) for itemsets, _ in kept]
+        if self._frequent is not None or widths != sorted(set(widths)):
+            ordered = sorted(
+                self.frequent.items(), key=lambda kv: (len(kv[0]), kv[0])
+            )
+            return ordered if limit is None else ordered[:limit]
+        out: list[tuple[Itemset, int]] = []
+        for itemsets, supports in kept:
+            if limit is not None and len(out) >= limit:
+                break
+            end = None if limit is None else limit - len(out)
+            if isinstance(itemsets, ItemsetTable):
+                order = lexsort_rows(itemsets.array)
+                if order is not None:
+                    itemsets = ItemsetTable(itemsets.array[order])
+                    supports = supports[order]
+                out += zip(itemsets[:end], supports[:end].tolist())
+            else:
+                out += sorted(zip(itemsets, supports.tolist()))[:end]
+        return out
 
 
 def as_itemset(items: Iterable[int]) -> Itemset:

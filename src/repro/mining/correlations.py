@@ -195,7 +195,7 @@ class CorrelationMiner:
         """
         threshold = resolve_min_support(database, min_support)
         accounting = MiningResult(
-            frequent={},
+            frequent=None,
             min_support=threshold,
             algorithm=self.name + self.pruner.label,
         )

@@ -212,7 +212,7 @@ class Partition:
             local_pruners[0].label if local_pruners else ""
         )
         result = MiningResult(
-            frequent={},
+            frequent=None,
             min_support=threshold,
             algorithm=self.name + label,
         )

@@ -395,6 +395,43 @@ class TestEpochs:
 
         run(main())
 
+    def test_reshape_mid_evaluation_does_not_cache_the_old_bound(
+        self, ossm
+    ):
+        """A same-epoch reshape passes the cache's epoch check, so a
+        batch evaluated on the old map must not be cached for the new
+        one: the next query reads the new map's bound."""
+        coarser = ossm.merge_segments([[0, 1], [2, 3], [4, 5]])
+        itemset = (0, 3)
+        assert ossm.upper_bound(itemset) == 47
+        assert coarser.upper_bound(itemset) == 48
+        service = BoundQueryService(ossm)
+        inner = service._evaluate
+
+        async def main():
+            started = asyncio.Event()
+            release = asyncio.Event()
+
+            async def gated(current, keys):
+                started.set()
+                await release.wait()
+                return await inner(current, keys)
+
+            service._evaluate = gated
+            async with service:
+                held = asyncio.create_task(service.query_batch([itemset]))
+                await started.wait()
+                assert service.update(coarser) is True
+                release.set()
+                assert await held == [47]
+                stats = service.stats()
+                assert stats["cache_entries"] == 0
+                assert stats["cache"]["stale_drops"] == 1
+                service._evaluate = inner
+                assert await service.query(itemset) == 48
+
+        run(asyncio.wait_for(main(), 10))
+
     def test_update_with_same_object_is_noop(self, ossm):
         async def main():
             async with BoundQueryService(ossm) as service:
