@@ -129,16 +129,24 @@ class EpochLRUCache:
         return bound
 
     def put(
-        self, itemsets: Sequence[Itemset], bounds: Sequence[int], epoch: int
+        self,
+        itemsets: Sequence[Itemset],
+        bounds: Sequence[int],
+        epoch: int,
+        *,
+        current: bool = True,
     ) -> bool:
         """Insert *bounds*, aligned with *itemsets*, computed against map
         *epoch*; the batch becomes the most recently used entries.
 
         Returns False (and stores nothing) when *epoch* is stale — the
         normal outcome of a computation that raced an invalidation —
-        counting one stale drop per key.
+        counting one stale drop per key. *current* is False when the
+        map the bounds came from was replaced at the same epoch (a
+        reshape, after which the caller cleared the cache); such a put
+        is stale too, though its epoch still matches.
         """
-        if epoch != self.epoch:
+        if not current or epoch != self.epoch:
             self.stats.stale_drops += len(itemsets)
             return False
         entries = self._entries

@@ -112,6 +112,14 @@ class TestEpochs:
         assert len(cache) == 0
         assert cache.stats.stale_drops == 2
 
+    def test_put_from_a_replaced_map_is_dropped(self):
+        # A same-epoch reshape keeps the epoch: the caller says the map
+        # is no longer current, and the put is stale all the same.
+        cache = EpochLRUCache(maxsize=8)
+        assert cache.put([(1, 2), (3,)], [9, 4], epoch=0, current=False) is False
+        assert len(cache) == 0
+        assert cache.stats.stale_drops == 2
+
     def test_stale_entry_is_dropped_on_get(self):
         # Defense in depth for the §10 invariant: even if an old-epoch
         # entry somehow survives, it is never served.
