@@ -20,8 +20,16 @@ Exactness is structural:
 * AND of the rows of an itemset sets exactly the bits of transactions
   containing *every* item (intersection of tidsets);
 * popcount of that vector is the cardinality of the intersection — the
-  support, with no arithmetic that could round or overflow (popcounts
-  are summed in int64).
+  support, with no arithmetic that could round or overflow: a row's
+  popcounts sum to at most ``64 · n_words``, so they are summed in the
+  narrowest dtype that holds that value and stored into int64 totals.
+
+From ``k = 3`` on, the AND is *prefix-shared*: consecutive candidates
+that share their first ``k − 1`` items (sorted candidate tables come in
+such runs) AND that prefix once, and each candidate then takes one AND
+with its last item's row. AND is associative, so a shared prefix is the
+same vector for every row of its run, and the count is exact for any
+row order; an unsorted table only has more, shorter runs.
 
 The packing is *segment-aligned*: when the counter knows the OSSM
 segment composition, it materializes one packed mask per segment, so
@@ -37,12 +45,12 @@ out the word-level exactness argument.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..core.itemset_table import as_array, domain_mask
-from ..core.ossm import OSSM
+from ..core.ossm import OSSM, sort_dtype
 from ..data.transactions import TransactionDatabase
 from ..obs.metrics import get_registry
 from ..obs.trace import trace
@@ -63,10 +71,21 @@ Itemset = tuple[int, ...]
 #: transactions — the per-shard popcount reduce is exact by additivity.
 WORD_BITS = 64
 
-#: Candidate rows gathered per vectorized AND+popcount block. Bounds the
-#: transient gather at ``block × n_words × 8`` bytes while keeping the
-#: per-block python overhead negligible.
+#: Candidate rows per block of the AND kernel, at least: fewer rows
+#: would let the per-block python overhead, which holds the GIL, stall
+#: the thread shards on wide rows.
 _CANDIDATE_BLOCK = 256
+
+#: Bytes of one transient word buffer in the AND kernel, for narrow
+#: rows: a block holds ``max(_CANDIDATE_BLOCK, _BLOCK_BYTES // (8 ×
+#: n_words))`` candidate rows — 829 at 79 words, which fit in L2. The
+#: shared prefixes are built from each block alone, so the kernel holds
+#: three buffers of at most ``block × n_words × 8`` bytes (the last
+#: items' rows ANDed in place, the block's prefixes and those spread
+#: over their runs) plus a popcount byte matrix an eighth that size:
+#: 3.2 MB a buffer at paper scale (1 563 words), where a prefix matrix
+#: over all the runs of a level would not fit.
+_BLOCK_BYTES = 1 << 19
 
 
 def _range_mask(n_words: int, lo: int, hi: int) -> np.ndarray:
@@ -151,9 +170,7 @@ class PackedBitmap:
             )
             masks = self.segment_masks()
             for index in range(self.n_segments):
-                matrix[index] = np.bitwise_count(
-                    self.words & masks[index]
-                ).sum(axis=1, dtype=np.int64)
+                matrix[index] = _row_popcounts(self.words & masks[index])
             matrix.setflags(write=False)
             self._segment_matrix = matrix
         return self._segment_matrix
@@ -325,17 +342,11 @@ class BitmapCounter(SupportCounter):
             raise ValueError("count_segments requires in-domain candidates")
         masks = packed.segment_masks()
         out = np.zeros((packed.n_segments, len(table)), dtype=np.int64)
-        bitwise_and = np.bitwise_and
-        bitwise_count = np.bitwise_count
-        for lo in range(0, len(table), _CANDIDATE_BLOCK):
-            block = table[lo:lo + _CANDIDATE_BLOCK]
-            acc = packed.words[block[:, 0]].copy()
-            for j in range(1, block.shape[1]):
-                bitwise_and(acc, packed.words[block[:, j]], out=acc)
+        for lo, acc in _and_blocks(packed.words, table, 0, packed.n_words):
             for segment in range(packed.n_segments):
-                out[segment, lo:lo + len(block)] = bitwise_count(
+                out[segment, lo:lo + len(acc)] = _row_popcounts(
                     acc & masks[segment]
-                ).sum(axis=1, dtype=np.int64)
+                )
         return out
 
     def to_ossm(self, database: Iterable[Itemset] | TransactionDatabase):
@@ -375,25 +386,67 @@ def popcount_reduce(
     The workhorse kernel, shared by the serial path (full word range)
     and the thread shards (one word-column range each; word columns
     partition the transactions, so per-shard vectors sum to the exact
-    global counts in int64). Runs in blocks of ``_CANDIDATE_BLOCK``
-    candidate rows: the gather, the ANDs and the popcount are numpy
+    global counts in int64). The ANDs run block by block through
+    :func:`_and_blocks`; the gather, the ANDs and the popcount are numpy
     kernels that release the GIL, which is why threads scale here.
     """
     totals = np.zeros(len(table), dtype=np.int64)
     if w_hi <= w_lo:
         return totals
-    k = table.shape[1]
-    bitwise_and = np.bitwise_and
-    bitwise_count = np.bitwise_count
-    for lo in range(0, len(table), _CANDIDATE_BLOCK):
-        block = table[lo:lo + _CANDIDATE_BLOCK]
-        acc = words[block[:, 0], w_lo:w_hi].copy()
-        for j in range(1, k):
-            bitwise_and(acc, words[block[:, j], w_lo:w_hi], out=acc)
-        totals[lo:lo + len(block)] = bitwise_count(acc).sum(
-            axis=1, dtype=np.int64
-        )
+    for lo, acc in _and_blocks(words, table, w_lo, w_hi):
+        totals[lo:lo + len(acc)] = _row_popcounts(acc)
     return totals
+
+
+def _and_blocks(
+    words: np.ndarray, table: np.ndarray, w_lo: int, w_hi: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, acc)``: row ``i`` of *acc* is the AND of the item rows
+    of candidate ``table[lo + i]`` over words ``[w_lo, w_hi)``.
+
+    From ``k = 3`` on, a run of consecutive candidates that share their
+    first ``k − 1`` items ANDs that prefix once per block; each
+    candidate then takes one AND with its last item's row. (A one-item
+    prefix is already a row, so pairs AND their two rows.) Exact for
+    any row order.
+    """
+    view = words[:, w_lo:w_hi]
+    k = table.shape[1]
+    step = _block_rows(w_hi - w_lo)
+    if k > 2:
+        new_run = np.ones(len(table), dtype=bool)
+        new_run[1:] = (table[1:, :-1] != table[:-1, :-1]).any(axis=1)
+        run_of = np.cumsum(new_run) - 1
+        prefixes = table[new_run, :-1]
+    for lo in range(0, len(table), step):
+        block = table[lo:lo + step]
+        acc = view[block[:, -1]]
+        if k == 2:
+            acc &= view[block[:, 0]]
+        elif k > 2:
+            runs = run_of[lo:lo + step]
+            first = runs[0]
+            heads = prefixes[first:runs[-1] + 1]
+            prefix = view[heads[:, 0]]
+            for j in range(1, k - 1):
+                prefix &= view[heads[:, j]]
+            acc &= prefix[runs - first]
+        yield lo, acc
+
+
+def _block_rows(n_words: int) -> int:
+    """Candidate rows per block of :func:`_and_blocks` at *n_words*."""
+    return max(_CANDIDATE_BLOCK, _BLOCK_BYTES // (8 * max(n_words, 1)))
+
+
+def _row_popcounts(acc: np.ndarray) -> np.ndarray:
+    """Set bits per row of a uint64 word matrix.
+
+    A row holds at most ``64 · n_words`` bits, so the byte popcounts
+    are summed in the narrowest dtype that holds that value exactly.
+    """
+    dtype = sort_dtype(WORD_BITS * acc.shape[1])
+    return np.einsum("ij->i", np.bitwise_count(acc), dtype=dtype)
 
 
 register_engine("bitmap", BitmapCounter)

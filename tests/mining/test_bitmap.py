@@ -31,6 +31,7 @@ from repro.mining import (
     SubsetCounter,
     pack_database,
 )
+from repro.mining import bitmap as bitmap_module
 from repro.mining.bitmap import WORD_BITS, popcount_reduce
 from repro.mining.counting import TidsetCounter
 from repro.parallel import ThreadedBitmapCounter
@@ -205,6 +206,103 @@ def test_popcount_reduce_word_ranges_sum_to_total():
     right = popcount_reduce(packed.words, table, cut, packed.n_words)
     assert np.array_equal(left + right, full)
     assert full.dtype == np.int64
+
+
+# -- popcount_reduce against a per-row AND -------------------------------
+
+
+def _per_row_counts(words, table, w_lo, w_hi):
+    """The reference: AND each candidate's rows alone, popcount in python."""
+    counts = []
+    for row in table:
+        acc = words[row[0], w_lo:w_hi].copy()
+        for item in row[1:]:
+            acc &= words[item, w_lo:w_hi]
+        counts.append(sum(int(word).bit_count() for word in acc))
+    return np.array(counts, dtype=np.int64)
+
+
+def _random_words(rng, n_items, n_words, density=0.7):
+    """Packed rows whose bits are set with probability *density*."""
+    bits = rng.random((n_items, n_words * WORD_BITS)) < density
+    return np.packbits(bits, axis=1).view(np.uint64)
+
+
+def _sorted_candidates(rng, n_items, k, n):
+    rows = {tuple(sorted(rng.choice(n_items, k, replace=False)))
+            for _ in range(n)}
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_popcount_reduce_equals_per_row_reference(k):
+    rng = np.random.default_rng(40 + k)
+    words = _random_words(rng, 12, 5)
+    table = _sorted_candidates(rng, 12, k, 300)
+    shuffled = table[rng.permutation(len(table))]
+    duplicated = np.repeat(table[::3], 3, axis=0)
+    for rows in (table, shuffled, duplicated):
+        assert np.array_equal(
+            popcount_reduce(words, rows, 0, words.shape[1]),
+            _per_row_counts(words, rows, 0, words.shape[1]),
+        )
+
+
+def test_prefix_run_across_a_block_boundary(monkeypatch):
+    rng = np.random.default_rng(9)
+    words = _random_words(rng, 10, 3)
+    # Rows 2..8 share the prefix (0, 1, 2); a block of 4 rows splits
+    # that run over three blocks.
+    run = [(0, 1, 2, item) for item in range(3, 10)]
+    table = np.array(
+        [(0, 1, 2, 3)] * 2 + run + [(0, 1, 3, 4), (1, 2, 3, 4)],
+        dtype=np.int64,
+    )
+    monkeypatch.setattr(bitmap_module, "_block_rows", lambda n_words: 4)
+    reference = _per_row_counts(words, table, 0, 3)
+    assert np.array_equal(popcount_reduce(words, table, 0, 3), reference)
+    monkeypatch.undo()
+    # At the default block size one run of duplicates spans blocks too.
+    block_rows = bitmap_module._block_rows(3)
+    long_run = np.repeat(table[2:4], block_rows, axis=0)
+    assert np.array_equal(
+        popcount_reduce(words, long_run, 0, 3),
+        _per_row_counts(words, long_run, 0, 3),
+    )
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_popcount_reduce_word_shards_sum_to_total(k):
+    rng = np.random.default_rng(5)
+    words = _random_words(rng, 9, 7)
+    table = _sorted_candidates(rng, 9, k, 120)
+    full = popcount_reduce(words, table, 0, 7)
+    assert np.array_equal(full, _per_row_counts(words, table, 0, 7))
+    for cut in range(8):
+        left = popcount_reduce(words, table, 0, cut)
+        right = popcount_reduce(words, table, cut, 7)
+        assert np.array_equal(left + right, full)
+
+
+def test_popcount_reduce_rows_wider_than_uint16():
+    """1 100 words hold up to 70 400 bits per row: past uint16."""
+    rng = np.random.default_rng(2)
+    n_words = 1100
+    words = _random_words(rng, 6, n_words, density=0.9)
+    words[:3] = np.iinfo(np.uint64).max  # a full row: 64 · 1 100 bits
+    table = np.array(
+        [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5)],
+        dtype=np.int64,
+    )
+    counts = popcount_reduce(words, table, 0, n_words)
+    assert counts[0] == WORD_BITS * n_words
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _per_row_counts(words, table, 0, n_words))
+    triples = np.array([(0, 1, 2), (0, 2, 5), (1, 3, 4)], dtype=np.int64)
+    assert np.array_equal(
+        popcount_reduce(words, triples, 0, n_words),
+        _per_row_counts(words, triples, 0, n_words),
+    )
 
 
 # -- segment views -------------------------------------------------------

@@ -3,11 +3,13 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.itemset_table import ItemsetTable
+from repro.mining import itemsets as itemsets_module
 from repro.mining import (
     Apriori, apriori_gen, is_canonical, join_step, prune_step, subsets_of_size,
 )
@@ -90,6 +92,67 @@ class TestAprioriGen:
 
 def _paper_literal(prior):
     return prune_step(join_step(sorted(prior)), frozenset(prior))
+
+
+def _downward_closed_prior(rng, ids, width):
+    """Most of the ``width``-subsets of a few random itemsets, shuffled:
+    a level whose joins mostly pass the subset test."""
+    sets = set()
+    for _ in range(6):
+        picked = sorted(int(x) for x in rng.choice(ids, 7, replace=False))
+        sets.update(combinations(picked, width))
+    prior = [s for s in sorted(sets) if rng.random() < 0.85]
+    return [prior[i] for i in rng.permutation(len(prior))]
+
+
+#: Id pools and widths that send apriori_gen's subset test down each of
+#: its three paths: a dense table over renumbered ids, ``searchsorted``
+#: on mixed-radix keys (ids too large to renumber, or too many distinct
+#: ids for a dense table), and exact row ranks (negative ids, or keys
+#: that would overflow int64).
+MEMBERSHIP_PATHS = {
+    "dense": [(np.arange(30), width) for width in (2, 3, 4)]
+    + [(np.arange(0, 3000, 97), 3)],
+    "searchsorted": [
+        (np.arange(60), 5),
+        (np.arange(2**21, 2**21 + 4000, 131), 2),
+    ],
+    "rank": [
+        (np.arange(-10, 20), 3),
+        (np.arange(2**62, 2**62 + 50), 2),
+        (np.arange(2**30, 2**30 + 90, 3), 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("path", sorted(MEMBERSHIP_PATHS))
+def test_equals_paper_literal_on_every_subset_test_path(path, monkeypatch):
+    calls = []
+    for name in ("_in_sorted", "_rank_keys"):
+        original = getattr(itemsets_module, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(itemsets_module, name, spy)
+    expected_calls = {
+        "dense": set(),
+        "searchsorted": {"_in_sorted"},
+        "rank": {"_in_sorted", "_rank_keys"},
+    }[path]
+    rng = np.random.default_rng(len(path))
+    for ids, width in MEMBERSHIP_PATHS[path]:
+        generated = 0
+        for _ in range(10):
+            prior = _downward_closed_prior(rng, ids, width)
+            calls.clear()
+            out = apriori_gen(prior)
+            assert list(out) == _paper_literal(prior)
+            assert out.array.shape[1] == width + 1
+            assert set(calls) == expected_calls
+            generated += len(out)
+        assert generated  # the subset test kept some candidates
 
 
 @st.composite
